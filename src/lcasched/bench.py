@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import LJF_MODES, fcfs_schedule, ljf_schedule
 from .evaluator import ScheduleSimulator
 from .lca import LcaParams, optimize
-from .problem import MetricWeights, assignment_domain, decode_random_key, make_objective
+from .problem import Job, MetricWeights, assignment_domain, decode_random_key, make_objective
 from .workload import (
     DEFAULT_LEN_MAX,
     DEFAULT_LEN_MIN,
@@ -190,11 +190,21 @@ class SummaryRow:
         ]
 
 
+@dataclass(frozen=True)
+class _SweepConfig(ExperimentConfig):
+    """A sweep's config plus the jobs parsed from its ``jobs_file``, so that
+    every cell of the sweep, in this process or a worker, shares one read."""
+
+    jobs: tuple[Job, ...] = ()
+
+
 def _cell_inputs(config: ExperimentConfig, num_vms: int, seed: int):
     workload_seed, fleet_seed, optimizer_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64)
     )
-    if config.jobs_file is not None:
+    if isinstance(config, _SweepConfig):
+        jobs = config.jobs
+    elif config.jobs_file is not None:
         jobs = read_jobs_csv(config.jobs_file)
     else:
         jobs = generate_workload(
@@ -263,11 +273,15 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRo
     """Run the full algorithms x vm_counts x reps grid and write both CSVs.
 
     Cells are independent and may run in parallel (``config.workers``); the
-    output is sorted and therefore independent of execution order. Returns
-    the sorted rows and the per-(algorithm, vm count) summary.
+    output is sorted and therefore independent of execution order. A
+    ``jobs_file`` is read once and its job list shared by every cell.
+    Returns the sorted rows and the per-(algorithm, vm count) summary.
     """
+    cell_config = config
+    if config.jobs_file is not None:
+        cell_config = _SweepConfig(**vars(config), jobs=tuple(read_jobs_csv(config.jobs_file)))
     tasks = [
-        (config, algorithm, num_vms, seed)
+        (cell_config, algorithm, num_vms, seed)
         for algorithm in config.algorithms
         for num_vms in config.vm_counts
         for seed in range(config.base_seed, config.base_seed + config.reps)

@@ -61,6 +61,15 @@ class ScheduleSimulator:
     in service order, stably grouped by VM, and each queue's start times
     follow from running prefix sums of the execution times (plus a running
     maximum of arrival slack when arrivals are staggered).
+
+    The grouping sorts VM indices cast to the narrowest unsigned dtype that
+    holds ``num_vms - 1`` (uint8 up to 256 VMs, uint16 up to 65536); on
+    those numpy's stable argsort is a radix sort, and a stable sort yields the
+    same permutation on any integer dtype. The per-queue running maximum is
+    one ``np.maximum.accumulate`` over complex keys (queue number + slack·j),
+    which numpy orders lexicographically, so it restarts at every queue head
+    without a Python loop. Neither step rounds, so results are bit-identical
+    to a per-queue replay with int64 keys.
     """
 
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm]):
@@ -77,6 +86,7 @@ class ScheduleSimulator:
         self._lengths_sorted = self.lengths[self._service_order]
         self._batch = bool(np.all(self.arrivals == 0.0))
         self._min_arrival = float(self.arrivals.min())
+        self._vm_key = np.min_scalar_type(self.num_vms - 1)
 
     def _replay(self, assignment: np.ndarray):
         assignment = np.asarray(assignment)
@@ -86,11 +96,10 @@ class ScheduleSimulator:
             raise ValueError("assignment must hold integer VM indices")
         if int(assignment.min()) < 0 or int(assignment.max()) >= self.num_vms:
             raise ValueError("assignment refers to a VM that does not exist")
-        vm_sorted = assignment[self._service_order]
+        vm_sorted = assignment[self._service_order].astype(self._vm_key)
         group = np.argsort(vm_sorted, kind="stable")
         grouped_vm = vm_sorted[group]
-        exec_times = self._lengths_sorted[group] / self.speeds[grouped_vm]
-        arrivals = self._arrivals_sorted[group]
+        exec_times = self._lengths_sorted[group] / self.speeds.take(grouped_vm)
         totals = np.cumsum(exec_times)
         before = totals - exec_times
         first = np.empty(grouped_vm.size, dtype=bool)
@@ -101,29 +110,27 @@ class ScheduleSimulator:
             counts = np.diff(np.append(queue_heads, grouped_vm.size))
             offsets = np.repeat(before[queue_heads], counts)
             starts = np.maximum(before - offsets, 0.0)
+            waits = starts
         else:
+            arrivals = self._arrivals_sorted[group]
             slack = arrivals - before
             starts = np.maximum(before + _segmented_cummax(slack, first), arrivals)
+            waits = starts - arrivals
         finishes = starts + exec_times
-        return group, starts, finishes, arrivals
-
-    def metrics(self, assignment: np.ndarray) -> ScheduleMetrics:
-        """Score one assignment without materializing the timeline."""
-        _, starts, finishes, arrivals = self._replay(assignment)
-        return ScheduleMetrics(
-            makespan=float(finishes.max()) - self._min_arrival,
-            avg_completion=float(finishes.mean()),
-            avg_response=float((starts - arrivals).mean()),
-        )
-
-    def run(self, assignment: np.ndarray) -> tuple[JobTimeline, ScheduleMetrics]:
-        """Replay one assignment, returning the per-job timeline and metrics."""
-        group, starts, finishes, arrivals = self._replay(assignment)
         metrics = ScheduleMetrics(
             makespan=float(finishes.max()) - self._min_arrival,
             avg_completion=float(finishes.mean()),
-            avg_response=float((starts - arrivals).mean()),
+            avg_response=float(waits.mean()),
         )
+        return group, starts, finishes, metrics
+
+    def metrics(self, assignment: np.ndarray) -> ScheduleMetrics:
+        """Score one assignment without materializing the timeline."""
+        return self._replay(assignment)[3]
+
+    def run(self, assignment: np.ndarray) -> tuple[JobTimeline, ScheduleMetrics]:
+        """Replay one assignment, returning the per-job timeline and metrics."""
+        group, starts, finishes, metrics = self._replay(assignment)
         positions = self._service_order[group]
         start_times = np.empty(self.num_jobs, dtype=float)
         finish_times = np.empty(self.num_jobs, dtype=float)
@@ -138,12 +145,16 @@ class ScheduleSimulator:
 
 
 def _segmented_cummax(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Running maximum restarted at every True in ``first``."""
-    out = np.empty_like(values)
-    bounds = np.flatnonzero(first)
-    for lo, hi in zip(bounds, np.append(bounds[1:], values.size)):
-        out[lo:hi] = np.maximum.accumulate(values[lo:hi])
-    return out
+    """Running maximum restarted at every True in ``first``.
+
+    Keys pair a queue number that grows at every head (real part) with the
+    value (imaginary part); the lexicographic running maximum of the keys
+    never carries a value across a head.
+    """
+    keys = np.empty(values.size, dtype=np.complex128)
+    keys.real = np.cumsum(first)
+    keys.imag = values
+    return np.maximum.accumulate(keys).imag
 
 
 def evaluate(

@@ -8,6 +8,7 @@ the VM index for the job at position ``d``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,8 +37,8 @@ class Job:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("job id must be nonnegative")
-        if not self.arrival_time >= 0.0:
-            raise ValueError("arrival_time must be nonnegative")
+        if not 0.0 <= self.arrival_time < math.inf:
+            raise ValueError("arrival_time must be finite and nonnegative")
         if self.length <= 0:
             raise ValueError("length must be positive")
 
@@ -52,8 +53,8 @@ class Vm:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("vm id must be nonnegative")
-        if not self.speed > 0.0:
-            raise ValueError("speed must be positive")
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError("speed must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,31 @@
+import io
+import os
+
 import numpy as np
 import pytest
 
+import lcasched.bench
 from lcasched import (
     ExperimentConfig,
     Job,
     LcaParams,
     MetricWeights,
     Vm,
+    WorkloadSpec,
     brute_force_optimal,
+    generate_workload,
+    read_jobs_csv,
     run_cell,
     run_sweep,
     write_jobs_csv,
 )
 from lcasched.bench import (
     RESULTS_CSV_HEADER,
+    ResultRow,
     summarize,
     summary_path_for,
+    write_results_csv,
+    write_summary_csv,
 )
 from lcasched.cli import main
 
@@ -121,6 +131,43 @@ class TestRunSweep:
             run_sweep(tiny_config(out=str(out), workers=workers))
             outputs.append((out.read_bytes(), summary_path_for(out).read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jobs_file_read_once_per_sweep(self, tmp_path, monkeypatch, workers):
+        jobs_file = tmp_path / "jobs.csv"
+        write_jobs_csv(generate_workload(WorkloadSpec(job_count=20, arrival_rate=2.0, seed=4)), jobs_file)
+        out = tmp_path / "sweep.csv"
+        config = tiny_config(
+            jobs_file=str(jobs_file), ljf_mode="last-arrival", out=str(out), workers=workers
+        )
+        # Reference: every cell run on its own, each reading the trace itself.
+        rows = sorted(
+            (
+                run_cell(config, algorithm, num_vms, seed)
+                for algorithm in config.algorithms
+                for num_vms in config.vm_counts
+                for seed in range(config.base_seed, config.base_seed + config.reps)
+            ),
+            key=ResultRow.sort_key,
+        )
+        expected_rows, expected_summary = io.StringIO(), io.StringIO()
+        write_results_csv(rows, expected_rows)
+        write_summary_csv(summarize(rows), expected_summary)
+
+        reads = []
+
+        def read_then_remove(path):
+            # a second read, in this process or in a worker, finds no file
+            reads.append(path)
+            parsed = read_jobs_csv(path)
+            os.remove(path)
+            return parsed
+
+        monkeypatch.setattr(lcasched.bench, "read_jobs_csv", read_then_remove)
+        run_sweep(config)
+        assert reads == [str(jobs_file)]
+        assert out.read_bytes().decode() == expected_rows.getvalue()
+        assert summary_path_for(out).read_bytes().decode() == expected_summary.getvalue()
 
     def test_summarize_groups_sorted(self):
         config = tiny_config(out="unused.csv")

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lcasched import (
     InstanceTooLargeError,
     Job,
     MetricWeights,
+    ScheduleSimulator,
     Vm,
     brute_force_optimal,
     evaluate,
     fcfs_schedule,
     ljf_schedule,
 )
+from lcasched.evaluator import _segmented_cummax
 
 from conftest import naive_metrics, naive_timeline, random_instance
 
@@ -99,6 +104,105 @@ class TestEvaluate:
             check_conservation_and_non_overlap(jobs, vms, assignment, timeline)
             assert metrics.avg_response >= 0.0
             assert np.all(timeline.start_times >= [j.arrival_time for j in jobs])
+
+
+@st.composite
+def replay_cases(draw, staggered):
+    """Instances up to 80 jobs with an assignment: fleets of 1-8 VMs or of
+    250-300 (16-bit VM keys), most VMs left empty, sometimes every job on
+    one VM, ids listed out of order, and arrival times drawn from a handful
+    of values so that ties are common."""
+    num_vms = draw(st.one_of(st.integers(1, 8), st.integers(250, 300)))
+    num_jobs = draw(st.integers(1, 80))
+    ids = draw(st.permutations(range(num_jobs)))
+    lengths = draw(st.lists(st.integers(1, 100), min_size=num_jobs, max_size=num_jobs))
+    if staggered:
+        arrival = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0]), st.floats(0.0, 100.0))
+    else:
+        arrival = st.just(0.0)
+    arrivals = draw(st.lists(arrival, min_size=num_jobs, max_size=num_jobs))
+    speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 3.7]), min_size=1, max_size=5))
+    vm = st.integers(0, num_vms - 1)
+    assignment = draw(
+        st.one_of(
+            vm.map(lambda v: [v] * num_jobs),
+            st.lists(vm, min_size=num_jobs, max_size=num_jobs),
+        )
+    )
+    jobs = [Job(i, a, n) for i, a, n in zip(ids, arrivals, lengths)]
+    vms = [Vm(v, speeds[v % len(speeds)]) for v in range(num_vms)]
+    return jobs, vms, np.array(assignment, dtype=np.int64)
+
+
+def assert_matches_naive(jobs, vms, assignment):
+    simulator = ScheduleSimulator(jobs, vms)
+    timeline, metrics = simulator.run(assignment)
+    assert simulator.metrics(assignment) == metrics
+    ref_starts, ref_finishes = naive_timeline(jobs, vms, assignment)
+    scale = 1e-9 * max(1.0, max(ref_finishes))
+    np.testing.assert_allclose(timeline.start_times, ref_starts, rtol=0.0, atol=scale)
+    np.testing.assert_allclose(timeline.finish_times, ref_finishes, rtol=0.0, atol=scale)
+    assert timeline.vm_ids.tolist() == assignment.tolist()
+    np.testing.assert_allclose(
+        [metrics.makespan, metrics.avg_completion, metrics.avg_response],
+        naive_metrics(jobs, vms, assignment),
+        rtol=0.0,
+        atol=scale,
+    )
+
+
+class TestReplayDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(replay_cases(staggered=False))
+    def test_batch_matches_naive(self, case):
+        assert_matches_naive(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(replay_cases(staggered=True))
+    def test_staggered_matches_naive(self, case):
+        assert_matches_naive(*case)
+
+    @pytest.mark.parametrize("staggered", [False, True])
+    @pytest.mark.parametrize("num_vms", [256, 257, 65537, 70_000])
+    def test_vm_keys_do_not_wrap(self, num_vms, staggered):
+        # VMs whose indices agree modulo 256 or 65536 must stay separate queues
+        vms = [Vm(v, 1.0 + v % 3) for v in range(num_vms)]
+        picks = sorted({0, 1, 255, num_vms - 1, (num_vms - 1) % 256, (num_vms - 1) % 65536})
+        jobs = [
+            Job(i, float(i % 4) if staggered else 0.0, 10 + i) for i in range(3 * len(picks))
+        ]
+        assignment = np.array([picks[i % len(picks)] for i in range(len(jobs))])
+        assert_matches_naive(jobs, vms, assignment)
+
+
+def segmented_cummax_reference(values, first):
+    """The per-queue loop the vectorized running maximum replaced."""
+    out = np.empty_like(values)
+    bounds = np.flatnonzero(first)
+    for lo, hi in zip(bounds, np.append(bounds[1:], values.size)):
+        out[lo:hi] = np.maximum.accumulate(values[lo:hi])
+    return out
+
+
+@st.composite
+def segmented_values(draw):
+    size = draw(st.integers(1, 120))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(allow_nan=False, allow_infinity=True),
+    )
+    values = draw(hnp.arrays(np.float64, size, elements=value))
+    first = draw(hnp.arrays(np.bool_, size))
+    first[0] = True
+    return values, first
+
+
+class TestSegmentedCummax:
+    @settings(max_examples=200, deadline=None)
+    @given(segmented_values())
+    def test_equals_per_queue_loop(self, case):
+        values, first = case
+        assert np.array_equal(_segmented_cummax(values, first), segmented_cummax_reference(values, first))
 
 
 def check_conservation_and_non_overlap(jobs, vms, assignment, timeline):

@@ -114,11 +114,21 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Job(-1, 0.0, 10)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_job_arrival_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="arrival_time"):
+            Job(0, bad, 10)
+
     def test_vm_validation(self):
         with pytest.raises(ValueError):
             Vm(0, 0.0)
         with pytest.raises(ValueError):
             Vm(-1, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_vm_speed_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="speed"):
+            Vm(0, bad)
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,12 @@ class TestJobsCsv:
         with pytest.raises(CsvFormatError, match="line 2"):
             read_jobs_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_arrival(self, bad):
+        text = f"job_id,arrival_time,length_mi\n0,0,10\n1,{bad},10\n"
+        with pytest.raises(CsvFormatError, match="line 3: arrival_time must be finite"):
+            read_jobs_csv(io.StringIO(text))
+
     def test_wrong_field_count(self):
         text = "job_id,arrival_time,length_mi\n0,0\n"
         with pytest.raises(CsvFormatError, match="line 2.*fields"):
@@ -179,3 +185,8 @@ class TestVmsCsv:
     def test_nonpositive_speed(self):
         with pytest.raises(CsvFormatError, match="line 2"):
             read_vms_csv(io.StringIO("vm_id,mips\n0,0\n"))
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "1e999"])
+    def test_non_finite_speed(self, bad):
+        with pytest.raises(CsvFormatError, match="line 3: speed must be finite"):
+            read_vms_csv(io.StringIO(f"vm_id,mips\n0,100\n1,{bad}\n"))
