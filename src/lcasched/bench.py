@@ -13,9 +13,10 @@ the wall-clock column.
 from __future__ import annotations
 
 import csv
+import os
 import statistics
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -274,9 +275,13 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRo
 
     Cells are independent and may run in parallel (``config.workers``); the
     output is sorted and therefore independent of execution order. A
-    ``jobs_file`` is read once and its job list shared by every cell.
-    Returns the sorted rows and the per-(algorithm, vm count) summary.
+    ``jobs_file`` is read once and its job list shared by every cell. The
+    output directory is checked for writability before any cell runs
+    (``OSError`` otherwise), and each CSV is replaced atomically, so a
+    failed sweep never leaves a truncated one. Returns the sorted rows and
+    the per-(algorithm, vm count) summary.
     """
+    _check_writable(Path(config.out).parent)
     cell_config = config
     if config.jobs_file is not None:
         cell_config = _SweepConfig(**vars(config), jobs=tuple(read_jobs_csv(config.jobs_file)))
@@ -287,6 +292,8 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRo
         for seed in range(config.base_seed, config.base_seed + config.reps)
     ]
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs ~15 ms per import; serial runs skip it
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_run_cell_task, tasks))
     else:
@@ -333,15 +340,27 @@ def write_summary_csv(summary: Sequence[SummaryRow], sink) -> None:
     _write_csv(SUMMARY_CSV_HEADER, [row.csv_fields() for row in summary], sink)
 
 
+def _check_writable(directory: Path) -> None:
+    """Raise ``OSError`` unless a file can be created in ``directory``."""
+    with tempfile.TemporaryFile(dir=directory):
+        pass
+
+
 def _write_csv(header, field_rows, sink) -> None:
+    """Write to an open text sink, or atomically replace the file at a path:
+    the rows go to a temporary file beside it, which is renamed over it."""
     if hasattr(sink, "write"):
-        handle, owned = sink, False
-    else:
-        handle, owned = open(sink, "w", encoding="utf-8", newline=""), True
-    try:
-        writer = csv.writer(handle)
+        writer = csv.writer(sink)
         writer.writerow(header)
         writer.writerows(field_rows)
-    finally:
-        if owned:
-            handle.close()
+        return
+    path = Path(sink)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    handle = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        with handle:
+            _write_csv(header, field_rows, handle)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -9,6 +9,7 @@ the VM index for the job at position ``d``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +40,10 @@ class Job:
             raise ValueError("job id must be nonnegative")
         if not 0.0 <= self.arrival_time < math.inf:
             raise ValueError("arrival_time must be finite and nonnegative")
-        if self.length <= 0:
+        length = self.length
+        if type(length) is not int and (isinstance(length, bool) or not isinstance(length, numbers.Integral)):
+            raise ValueError(f"length must be an integer number of MI, got {length!r}")
+        if length <= 0:
             raise ValueError("length must be positive")
 
 
@@ -93,7 +97,10 @@ def decode_random_key(x: np.ndarray, num_vms: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("keys must be finite")
-    return np.clip(np.floor(x).astype(np.int64), 0, num_vms - 1)
+    keys = np.floor(x)  # clamped before the cast, so keys beyond int64 clamp too
+    np.maximum(keys, 0.0, out=keys)
+    np.minimum(keys, num_vms - 1, out=keys)
+    return keys.astype(np.int64)
 
 
 def assignment_domain(num_jobs: int, num_vms: int) -> BoxDomain:
@@ -113,13 +120,20 @@ def make_objective(
 ) -> Objective:
     """Objective over random-key vectors for a fixed (jobs, vms) instance.
 
-    Each call decodes the keys, replays the non-preemptive schedule, and
+    Each call decodes the keys, scores the non-preemptive schedule, and
     returns the weighted mix of makespan, average completion time, and
-    average response time. The instance is unpacked once up front so the
-    per-call cost is a handful of vectorized array operations.
-    """
-    from .evaluator import ScheduleSimulator
+    average response time. The instance is unpacked once up front.
 
+    Batch instances (every arrival at zero) are scored from exact integer
+    sums (``BatchScorer``), and the returned object also offers
+    ``delta_scorer``, which ``lca.optimize`` uses to rescore a draft from
+    the few keys it changed; that gives the same float as a call. Other
+    instances replay the schedule (``ScheduleSimulator``) on every call.
+    """
+    from .evaluator import BatchScorer, ScheduleSimulator
+
+    if BatchScorer.applies(jobs):
+        return _BatchObjective(BatchScorer(jobs, vms, weights))
     simulator = ScheduleSimulator(jobs, vms)
     num_vms = len(vms)
 
@@ -128,3 +142,44 @@ def make_objective(
         return weights.score(simulator.metrics(assignment))
 
     return objective
+
+
+class _BatchObjective:
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def __call__(self, x: np.ndarray) -> float:
+        return self.scorer.score(decode_random_key(x, self.scorer.num_vms))
+
+    def delta_scorer(self, x: np.ndarray) -> "_KeyDrafts":
+        """Draft scorer anchored at formation ``x`` (protocol in ``lca.optimize``).
+
+        A class attribute on purpose: a wrapper made with ``functools.wraps``
+        copies instance attributes only, so wrapped objectives take the
+        plain call path.
+        """
+        num_vms = self.scorer.num_vms
+        return _KeyDrafts(self.scorer.anchor(decode_random_key(x, num_vms)), num_vms)
+
+
+class _KeyDrafts:
+    """Random-key face of a ``BatchDraft``: decodes only the changed keys."""
+
+    def __init__(self, anchor, num_vms: int):
+        self._anchor = anchor
+        self._top = num_vms - 1
+        self.commit = anchor.commit
+
+    @property
+    def fitness(self) -> float:
+        return self._anchor.fitness
+
+    def draft(self, x: np.ndarray, changed: np.ndarray) -> float:
+        """Score formation ``x``, whose keys differ from the anchor's only at ``changed``."""
+        top = self._top
+        vms = []
+        for key in x[changed].tolist():
+            if not math.isfinite(key):
+                raise ValueError("keys must be finite")
+            vms.append(min(max(math.floor(key), 0), top))
+        return self._anchor.draft(changed.tolist(), vms)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcasched import Job, Vm, evaluate, fcfs_schedule, ljf_schedule
 
@@ -101,3 +103,46 @@ class TestCommonProperties:
             assert first.shape == (len(jobs),)
             assert first.min() >= 0 and first.max() < len(vms)
             assert np.array_equal(first, scheduler(jobs, vms))
+
+
+def reference_greedy(jobs, vms, dispatch_order):
+    """Naive dispatcher: each job in turn goes to the VM that is ready
+    earliest (ties to the lowest id), which then runs it from
+    max(ready, arrival) for length / speed seconds."""
+    ready = [0.0] * len(vms)
+    assignment = [None] * len(jobs)
+    for p in dispatch_order:
+        vm = min(range(len(vms)), key=lambda v: (ready[v], v))
+        ready[vm] = max(ready[vm], jobs[p].arrival_time) + jobs[p].length / vms[vm].speed
+        assignment[p] = vm
+    return assignment
+
+
+@st.composite
+def staggered_instances(draw):
+    """Up to 40 jobs with ids listed out of order and arrivals drawn from a
+    few values (ties are common) or from a range, on 1-8 VMs."""
+    num_jobs = draw(st.integers(1, 40))
+    ids = draw(st.permutations(range(num_jobs)))
+    arrival = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0]), st.floats(0.0, 100.0))
+    arrivals = draw(st.lists(arrival, min_size=num_jobs, max_size=num_jobs))
+    lengths = draw(st.lists(st.integers(1, 200), min_size=num_jobs, max_size=num_jobs))
+    speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.7]), min_size=1, max_size=8))
+    jobs = [Job(i, a, n) for i, a, n in zip(ids, arrivals, lengths)]
+    return jobs, [Vm(v, s) for v, s in enumerate(speeds)]
+
+
+class TestDispatchDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(staggered_instances())
+    def test_ljf_last_arrival_matches_reference(self, case):
+        jobs, vms = case
+        order = sorted(range(len(jobs)), key=lambda p: (-jobs[p].arrival_time, jobs[p].id))
+        assert ljf_schedule(jobs, vms, mode="last-arrival").tolist() == reference_greedy(jobs, vms, order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(staggered_instances())
+    def test_fcfs_matches_reference(self, case):
+        jobs, vms = case
+        order = sorted(range(len(jobs)), key=lambda p: (jobs[p].arrival_time, jobs[p].id))
+        assert fcfs_schedule(jobs, vms).tolist() == reference_greedy(jobs, vms, order)

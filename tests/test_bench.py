@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -286,3 +288,56 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--vm-counts", "a,b"])
         assert excinfo.value.code == 2
+
+
+def test_import_leaves_out_the_process_pool():
+    # worker processes are only started by run_sweep(workers > 1), which imports the pool itself
+    code = "import sys, lcasched; print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    source_root = os.path.dirname(os.path.dirname(lcasched.bench.__file__))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+class TestSweepOutputSafety:
+    def test_missing_output_directory_fails_before_any_cell(self, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(lcasched.bench, "run_cell", lambda *args: cells.append(args))
+        with pytest.raises(OSError):
+            run_sweep(tiny_config(out=str(tmp_path / "missing" / "results.csv")))
+        assert cells == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_truncated_csv(self, tmp_path, monkeypatch, existing):
+        rows, _ = run_sweep(tiny_config(out=str(tmp_path / "first.csv")))
+        path = tmp_path / "results.csv"
+        if existing:
+            write_results_csv(rows[:1], path)
+        before = path.read_bytes() if existing else None
+        real_writer = lcasched.bench.csv.writer
+
+        class FailingWriter:
+            def __init__(self, handle):
+                self.inner = real_writer(handle)
+                self.writerow = self.inner.writerow
+
+            def writerows(self, field_rows):
+                self.inner.writerow(field_rows[0])
+                raise OSError("device full")
+
+        monkeypatch.setattr(lcasched.bench.csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="device full"):
+            write_results_csv(rows, path)
+        monkeypatch.undo()
+        assert (path.read_bytes() if path.exists() else None) == before
+        leftovers = sorted(p.name for p in tmp_path.iterdir())
+        assert leftovers == sorted(["first.csv", "first_summary.csv"] + (["results.csv"] if existing else []))
+
+    def test_path_and_stream_writes_give_the_same_bytes(self, tmp_path):
+        rows, summary = run_sweep(tiny_config(out=str(tmp_path / "results.csv")))
+        results, summary_sink = io.StringIO(newline=""), io.StringIO(newline="")
+        write_results_csv(rows, results)
+        write_summary_csv(summary, summary_sink)
+        assert (tmp_path / "results.csv").read_bytes() == results.getvalue().encode("utf-8")
+        assert (tmp_path / "results_summary.csv").read_bytes() == summary_sink.getvalue().encode("utf-8")
+        assert results.getvalue().startswith(",".join(RESULTS_CSV_HEADER) + "\r\n")

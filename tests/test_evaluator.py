@@ -15,7 +15,7 @@ from lcasched import (
     fcfs_schedule,
     ljf_schedule,
 )
-from lcasched.evaluator import _segmented_cummax
+from lcasched.evaluator import BatchScorer, _segmented_cummax
 
 from conftest import naive_metrics, naive_timeline, random_instance
 
@@ -173,6 +173,129 @@ class TestReplayDifferential:
         ]
         assignment = np.array([picks[i % len(picks)] for i in range(len(jobs))])
         assert_matches_naive(jobs, vms, assignment)
+
+
+WEIGHT_MIXES = (
+    MetricWeights(),
+    MAKESPAN_ONLY,
+    MetricWeights(makespan=0.0, completion=0.0, response=1.0),
+    MetricWeights(1.0, 1.0, 1.0),
+    MetricWeights(0.25, 0.5, 2.0),
+)
+
+
+@st.composite
+def draft_cases(draw):
+    """A batch instance, a weight mix, an anchor assignment, and a sequence of
+    drafts, each a list of (position, new VM) moves with a commit flag. Moves
+    often crowd onto three VMs, sometimes cover every job, and fleets are
+    1 VM, 2-8 VMs, or 250-300 VMs (mostly empty, 16-bit keys)."""
+    num_vms = draw(st.one_of(st.just(1), st.integers(2, 8), st.integers(250, 300)))
+    num_jobs = draw(st.integers(1, 60))
+    ids = draw(st.permutations(range(num_jobs)))
+    lengths = draw(
+        st.lists(st.one_of(st.integers(1, 100), st.integers(1, 10**9)), min_size=num_jobs, max_size=num_jobs)
+    )
+    speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 3.7, 1000.0]), min_size=1, max_size=5))
+    jobs = [Job(i, 0.0, n) for i, n in zip(ids, lengths)]
+    vms = [Vm(v, speeds[v % len(speeds)]) for v in range(num_vms)]
+    crowded = st.integers(0, min(num_vms, 3) - 1)
+    vm = st.one_of(crowded, st.integers(0, num_vms - 1))
+    anchor = draw(st.lists(vm, min_size=num_jobs, max_size=num_jobs))
+    drafts = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            positions = list(range(num_jobs))
+        else:
+            positions = draw(st.lists(st.integers(0, num_jobs - 1), min_size=1, max_size=6, unique=True))
+        targets = [draw(vm) for _ in positions]
+        drafts.append((positions, targets, draw(st.booleans())))
+    weights = draw(st.sampled_from(WEIGHT_MIXES))
+    return jobs, vms, weights, np.array(anchor, dtype=np.int64), drafts
+
+
+class TestBatchScorer:
+    @settings(max_examples=200, deadline=None)
+    @given(draft_cases())
+    def test_drafts_equal_scores_from_scratch(self, case):
+        jobs, vms, weights, assignment, drafts = case
+        scorer = BatchScorer(jobs, vms, weights)
+        simulator = ScheduleSimulator(jobs, vms)
+        anchor = scorer.anchor(assignment)
+        assert anchor.fitness == scorer.score(assignment)
+        for positions, targets, commit in drafts:
+            moved = assignment.copy()
+            moved[positions] = targets
+            value = anchor.draft(positions, targets)
+            assert value == scorer.score(moved)
+            # The replay's starts are a cumsum over all queues minus the queue's
+            # offset, so its error scales with the total busy time, not the value.
+            busy = sum(jobs[p].length / vms[v].speed for p, v in enumerate(moved))
+            reference = weights.score(simulator.metrics(moved))
+            assert value == pytest.approx(reference, rel=1e-12, abs=1e-12 * busy)
+            naive = naive_metrics(jobs, vms, moved)
+            naive_score = weights.makespan * naive[0] + weights.completion * naive[1] + weights.response * naive[2]
+            assert value == pytest.approx(naive_score, rel=1e-12, abs=0.0)
+            if commit:
+                anchor.commit()
+                assignment = moved
+            assert anchor.fitness == scorer.score(assignment)
+
+    def test_hand_values(self):
+        # VM 0 (speed 1) serves ids 0 and 2, VM 1 (speed 2) serves id 1
+        jobs = [Job(0, 0.0, 10), Job(1, 0.0, 20), Job(2, 0.0, 30)]
+        vms = [Vm(0, 1.0), Vm(1, 2.0)]
+        scorer = BatchScorer(jobs, vms, MetricWeights(1.0, 1.0, 1.0))
+        # finishes 10, 10, 40: makespan 40, completion 20, response 10/3
+        assert scorer.score(np.array([0, 1, 0])) == pytest.approx(40.0 + 20.0 + 10.0 / 3.0, rel=1e-15)
+        anchor = scorer.anchor(np.array([0, 1, 0]))
+        # swap jobs 0 and 1: VM 0 serves id 1 then id 2 (finish 20, 50), VM 1 serves id 0 (5)
+        assert anchor.draft([0, 1], [1, 0]) == scorer.score(np.array([1, 0, 0]))
+        assert anchor.fitness == scorer.score(np.array([0, 1, 0]))
+        anchor.commit()
+        assert anchor.fitness == pytest.approx(50.0 + 75.0 / 3.0 + 20.0 / 3.0, rel=1e-15)
+        # a repeated commit without a new draft changes nothing
+        anchor.commit()
+        assert anchor.fitness == scorer.score(np.array([1, 0, 0]))
+
+    def test_moves_to_the_same_vm_are_free(self):
+        jobs = [Job(i, 0.0, 5 + i) for i in range(6)]
+        scorer = BatchScorer(jobs, [Vm(0, 2.0)])
+        anchor = scorer.anchor(np.zeros(6, dtype=np.int64))
+        assert anchor.draft(list(range(6)), [0] * 6) == anchor.fitness
+
+    def test_applies_only_to_batch_instances_that_fit(self):
+        assert BatchScorer.applies([Job(0, 0.0, 10), Job(1, 0.0, 20)])
+        assert not BatchScorer.applies([Job(0, 0.0, 10), Job(1, 0.5, 20)])
+        assert not BatchScorer.applies([Job(0, 0.0, 2**62), Job(1, 0.0, 1)])
+        assert not BatchScorer.applies([])
+        with pytest.raises(ValueError):
+            BatchScorer([Job(0, 1.0, 10)], [Vm(0, 1.0)])
+        with pytest.raises(ValueError):
+            BatchScorer([Job(0, 0.0, 10)], [])
+
+    def test_large_lengths_stay_exact(self):
+        # sums beyond 2**53 are exact integers, and the score still matches the replay
+        jobs = [Job(i, 0.0, 2**50 + i) for i in range(40)]
+        vms = [Vm(0, 1.0), Vm(1, 3.0)]
+        scorer = BatchScorer(jobs, vms, MetricWeights(1.0, 1.0, 1.0))
+        rng = np.random.default_rng(3)
+        assignment = rng.integers(0, 2, size=40)
+        anchor = scorer.anchor(assignment)
+        for _ in range(50):
+            positions = rng.choice(40, 3, replace=False).tolist()
+            targets = rng.integers(0, 2, size=3).tolist()
+            moved = assignment.copy()
+            moved[positions] = targets
+            assert anchor.draft(positions, targets) == scorer.score(moved)
+            reference = scorer.weights.score(ScheduleSimulator(jobs, vms).metrics(moved))
+            assert scorer.score(moved) == pytest.approx(reference, rel=1e-12)
+
+    def test_bad_assignment_rejected(self, three_jobs_two_vms):
+        scorer = BatchScorer(*three_jobs_two_vms)
+        for bad in (np.array([0, 1, 2]), np.array([0, -1, 0]), np.array([0, 1]), np.array([0.0, 1.0, 0.0])):
+            with pytest.raises(ValueError):
+                scorer.score(bad)
 
 
 def segmented_cummax_reference(values, first):

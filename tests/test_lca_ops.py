@@ -268,48 +268,53 @@ class TestSwotUpdate:
     def test_update_agrees_with_full_vector_formula(self):
         # swot_update rebuilds only the changed slots; scattering the same
         # draws into full-length vectors and applying the formula everywhere
-        # must give the identical result.
+        # must give the identical result. Dimension 9 draws its slots with a
+        # permutation, dimension 600 (512 or more) with rng.choice.
         setup_rng = np.random.default_rng(55)
-        domain = BoxDomain.cube(9, -3.0, 3.0)
-        params = LcaParams(league_size=4, seasons=1, change_prob=0.3, seed=0)
-        for trial in range(200):
-            vectors = setup_rng.uniform(-3.0, 3.0, size=(4, 9))
-            team = Team(vectors[0], 1.0, vectors[1], 0.5)
-            won, rival_won = bool(trial & 1), bool(trial & 2)
-            rng = np.random.default_rng(5000 + trial)
-            mirror = np.random.default_rng(5000 + trial)
-            count = change_count(mirror, 9, params.change_prob)
-            mask = select_change_mask(mirror, 9, count)
-            gains = mirror.random((2, count))
-            # scatter the block gains onto the drawn slots, in draw order
-            mirror2 = np.random.default_rng(5000 + trial)
-            change_count(mirror2, 9, params.change_prob)
-            changed = mirror2.permutation(9)[:count]
-            gain_rival = np.zeros(9)
-            gain_opponent = np.zeros(9)
-            gain_rival[changed] = gains[0]
-            gain_opponent[changed] = gains[1]
-            expected = np.where(
-                mask,
-                domain.clip(
-                    swot_formation(
-                        team.best_formation,
-                        team.formation,
-                        vectors[2],
-                        vectors[3],
-                        won,
-                        rival_won,
-                        params.retreat_coeff,
-                        params.approach_coeff,
-                        mask,
-                        gain_rival,
-                        gain_opponent,
-                    )
-                ),
-                team.best_formation,
-            )
-            actual = swot_update(team, vectors[2], vectors[3], won, rival_won, params, domain, rng)
-            assert np.array_equal(actual, expected)
+        for dimension, trials, draw_slots in (
+            (9, 200, lambda mirror, count: mirror.permutation(9)[:count]),
+            (600, 100, lambda mirror, count: mirror.choice(600, count, replace=False)),
+        ):
+            domain = BoxDomain.cube(dimension, -3.0, 3.0)
+            params = LcaParams(league_size=4, seasons=1, change_prob=0.3, seed=0)
+            for trial in range(trials):
+                vectors = setup_rng.uniform(-3.0, 3.0, size=(4, dimension))
+                team = Team(vectors[0], 1.0, vectors[1], 0.5)
+                won, rival_won = bool(trial & 1), bool(trial & 2)
+                rng = np.random.default_rng(5000 + trial)
+                mirror = np.random.default_rng(5000 + trial)
+                count = change_count(mirror, dimension, params.change_prob)
+                mask = select_change_mask(mirror, dimension, count)
+                gains = mirror.random((2, count))
+                # scatter the block gains onto the drawn slots, in draw order
+                mirror2 = np.random.default_rng(5000 + trial)
+                change_count(mirror2, dimension, params.change_prob)
+                changed = draw_slots(mirror2, count)
+                gain_rival = np.zeros(dimension)
+                gain_opponent = np.zeros(dimension)
+                gain_rival[changed] = gains[0]
+                gain_opponent[changed] = gains[1]
+                expected = np.where(
+                    mask,
+                    domain.clip(
+                        swot_formation(
+                            team.best_formation,
+                            team.formation,
+                            vectors[2],
+                            vectors[3],
+                            won,
+                            rival_won,
+                            params.retreat_coeff,
+                            params.approach_coeff,
+                            mask,
+                            gain_rival,
+                            gain_opponent,
+                        )
+                    ),
+                    team.best_formation,
+                )
+                actual = swot_update(team, vectors[2], vectors[3], won, rival_won, params, domain, rng)
+                assert np.array_equal(actual, expected)
 
     def test_draws_are_reproducible(self):
         domain = BoxDomain.cube(6, 0.0, 1.0)

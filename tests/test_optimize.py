@@ -1,7 +1,24 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcasched import BoxDomain, LcaParams, optimize
+from lcasched import (
+    BoxDomain,
+    FleetSpec,
+    Job,
+    LcaParams,
+    MetricWeights,
+    Vm,
+    WorkloadSpec,
+    assignment_domain,
+    generate_fleet,
+    generate_workload,
+    make_objective,
+    optimize,
+)
 
 # Frozen from a reference run of the fixed-seed configuration below; any
 # change to the draw sequence shows up here first.
@@ -90,6 +107,21 @@ def test_budget_is_respected_exactly_or_at_init(budget):
     assert result.history[-1] == result.best_fitness
 
 
+def test_budget_spent_mid_week_commits_the_drafts_already_scored():
+    values = []
+
+    def spy(x):
+        values.append(sphere(x))
+        return values[-1]
+
+    params = LcaParams(league_size=4, seasons=3, seed=4, max_evaluations=6)
+    result = optimize(spy, BoxDomain.cube(2, 0.0, 10.0), params)
+    # four initial evaluations, then two of the first week's four drafts
+    assert len(values) == result.evaluations == 6
+    assert result.history == [min(values[:4]), min(values)]
+    assert result.best_fitness == min(values)
+
+
 def test_budget_below_league_size_rejected():
     with pytest.raises(ValueError):
         optimize(
@@ -119,3 +151,97 @@ def test_best_formation_matches_best_fitness():
         LcaParams(league_size=8, seasons=12, seed=13),
     )
     assert sphere(result.best_formation) == result.best_fitness
+
+
+def assert_same_result(first, second):
+    assert np.array_equal(first.best_formation, second.best_formation)
+    assert first.best_fitness == second.best_fitness
+    assert first.history == second.history
+    assert first.evaluations == second.evaluations
+
+
+@pytest.mark.parametrize(
+    "num_jobs, num_vms, weights, seed",
+    [
+        (40, 1, MetricWeights(), 0),
+        (60, 3, MetricWeights(1.0, 1.0, 1.0), 1),
+        (120, 270, MetricWeights(0.5, 0.0, 2.0), 2),
+        (600, 20, MetricWeights(), 3),  # 512 slots or more: drawn by rng.choice
+        (500, 130, MetricWeights(makespan=1.0, completion=0.0, response=0.0), 4),
+    ],
+)
+def test_delta_scored_run_equals_plain_run(num_jobs, num_vms, weights, seed):
+    jobs = generate_workload(WorkloadSpec(job_count=num_jobs, seed=seed))
+    vms = generate_fleet(FleetSpec(vm_count=num_vms, mode="sample", seed=seed))
+    objective = make_objective(jobs, vms, weights)
+    assert hasattr(type(objective), "delta_scorer")
+    domain = assignment_domain(num_jobs, num_vms)
+    params = LcaParams(league_size=6, seasons=40, seed=seed, max_evaluations=400)
+    delta = optimize(objective, domain, params)
+    plain = optimize(lambda x: objective(x), domain, params)
+    assert_same_result(delta, plain)
+    # a wrapper made with functools.wraps copies no class attribute, so it takes the plain path
+    wrapped = optimize(functools.wraps(objective)(lambda x: objective(x)), domain, params)
+    assert_same_result(delta, wrapped)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_jobs=st.integers(1, 40),
+    num_vms=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    wide=st.booleans(),
+)
+def test_delta_scored_run_equals_plain_run_fuzzed(num_jobs, num_vms, seed, wide):
+    rng = np.random.default_rng(seed)
+    jobs = [Job(i, 0.0, int(rng.integers(1, 1000))) for i in rng.permutation(num_jobs)]
+    vms = [Vm(v, float(rng.choice([0.5, 1.0, 2.0]))) for v in range(num_vms)]
+    objective = make_objective(jobs, vms, MetricWeights(1.0, 1.0, 1.0))
+    # a wide box drives keys far outside [0, num_vms], where decoding clamps
+    domain = BoxDomain.cube(num_jobs, -1e30, 1e30) if wide else assignment_domain(num_jobs, num_vms)
+    params = LcaParams(league_size=4, seasons=20, seed=seed, change_prob=0.2)
+    assert_same_result(optimize(objective, domain, params), optimize(lambda x: objective(x), domain, params))
+
+
+def test_staggered_objective_has_no_delta_hook():
+    jobs = generate_workload(WorkloadSpec(job_count=30, arrival_rate=2.0, seed=1))
+    objective = make_objective(jobs, generate_fleet(FleetSpec(vm_count=3)))
+    assert not hasattr(type(objective), "delta_scorer")
+
+
+class TestNonFiniteFitness:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_at_first_evaluation(self, bad):
+        with pytest.raises(ValueError, match="evaluation 1$"):
+            optimize(lambda x: bad, BoxDomain.cube(3, 0.0, 1.0), LcaParams(league_size=4, seasons=2, seed=0))
+
+    def test_one_nan_mid_run_names_its_evaluation(self):
+        objective = CountingObjective(lambda x: np.nan if objective.calls == 7 else sphere(x))
+        with pytest.raises(ValueError, match="nan at evaluation 7$"):
+            optimize(objective, BoxDomain.cube(3, 0.0, 1.0), LcaParams(league_size=4, seasons=5, seed=0))
+        assert objective.calls == 7
+
+    @pytest.mark.parametrize("bad_draft", [1, 5])
+    def test_delta_scores_are_checked_too(self, bad_draft):
+        class Drafts:
+            def __init__(self, x):
+                self.fitness = sphere(x)
+
+            def draft(self, x, changed):
+                Objective.drafts += 1
+                return np.inf if Objective.drafts == bad_draft else sphere(x)
+
+            def commit(self):
+                pass
+
+        class Objective:
+            drafts = 0
+
+            def __call__(self, x):
+                raise AssertionError("the delta path never calls the objective")
+
+            def delta_scorer(self, x):
+                return Drafts(x)
+
+        with pytest.raises(ValueError, match=f"inf at evaluation {4 + bad_draft}$"):
+            optimize(Objective(), BoxDomain.cube(3, 0.0, 1.0), LcaParams(league_size=4, seasons=5, seed=0))

@@ -22,6 +22,10 @@ class TestDecodeRandomKey:
     def test_lower_boundary_clamps_to_first_vm(self):
         assert decode_random_key(np.array([-1.0]), 3).tolist() == [0]
 
+    def test_keys_beyond_int64_clamp(self):
+        keys = np.array([1e300, -1e300, 2.0**63, -(2.0**63), 2.0**70])
+        assert decode_random_key(keys, 3).tolist() == [2, 0, 2, 0, 2]
+
     def test_no_vms_rejected(self):
         with pytest.raises(ValueError):
             decode_random_key(np.array([0.5]), 0)
@@ -113,6 +117,15 @@ class TestDomainTypes:
             Job(0, 0.0, 0)
         with pytest.raises(ValueError):
             Job(-1, 0.0, 10)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "7", np.float64(4.0), np.bool_(True), None])
+    def test_job_length_must_be_integral(self, bad):
+        with pytest.raises(ValueError, match="length"):
+            Job(0, 0.0, bad)
+
+    @pytest.mark.parametrize("length", [np.int64(5), np.int32(5), np.uint16(5), 5])
+    def test_job_length_accepts_integers(self, length):
+        assert Job(0, 0.0, length).length == 5
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_job_arrival_must_be_finite(self, bad):

@@ -149,6 +149,12 @@ class TestJobsCsv:
         with pytest.raises(CsvFormatError, match="line 2.*non-numeric"):
             read_jobs_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("bad", ["2.5", "1e3", "true"])
+    def test_non_integral_length(self, bad):
+        text = f"job_id,arrival_time,length_mi\n0,0,10\n1,0,{bad}\n"
+        with pytest.raises(CsvFormatError, match="line 3"):
+            read_jobs_csv(io.StringIO(text))
+
     def test_nonpositive_length(self):
         text = "job_id,arrival_time,length_mi\n0,0,0\n"
         with pytest.raises(CsvFormatError, match="line 2"):
