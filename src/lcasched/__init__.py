@@ -9,114 +9,22 @@ and the reproducible benchmark harness (``bench``) behind the ``lcasched``
 command line.
 """
 
-from .lca import (
-    BoxDomain,
-    LcaParams,
-    LeagueSchedule,
-    LeagueState,
-    Objective,
-    OptimizeResult,
-    Team,
-    WeekOutcome,
-    change_count,
-    generate_league_schedule,
-    optimize,
-    play_week,
-    select_change_mask,
-    swot_formation,
-    swot_update,
-    truncated_geometric,
-    win_probability,
-)
-from .problem import (
-    Job,
-    MetricWeights,
-    Vm,
-    assignment_domain,
-    decode_random_key,
-    make_objective,
-)
-from .evaluator import (
-    InstanceTooLargeError,
-    JobTimeline,
-    ScheduleMetrics,
-    ScheduleSimulator,
-    brute_force_optimal,
-    evaluate,
-)
-from .baselines import LJF_MODES, fcfs_schedule, ljf_schedule
-from .workload import (
-    CsvFormatError,
-    FleetSpec,
-    WorkloadSpec,
-    generate_fleet,
-    generate_workload,
-    read_jobs_csv,
-    read_vms_csv,
-    write_jobs_csv,
-    write_vms_csv,
-)
-from .bench import (
-    ALGORITHMS,
-    DEFAULT_VM_COUNTS,
-    ExperimentConfig,
-    ResultRow,
-    SummaryRow,
-    run_cell,
-    run_sweep,
-    summarize,
-)
+from . import baselines, bench, evaluator, lca, problem, workload
+from .baselines import *
+from .bench import *
+from .evaluator import *
+from .lca import *
+from .problem import *
+from .workload import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of what it exports.
 __all__ = [
-    "BoxDomain",
-    "LcaParams",
-    "LeagueSchedule",
-    "LeagueState",
-    "Objective",
-    "OptimizeResult",
-    "Team",
-    "WeekOutcome",
-    "change_count",
-    "generate_league_schedule",
-    "optimize",
-    "play_week",
-    "select_change_mask",
-    "swot_formation",
-    "swot_update",
-    "truncated_geometric",
-    "win_probability",
-    "Job",
-    "MetricWeights",
-    "Vm",
-    "assignment_domain",
-    "decode_random_key",
-    "make_objective",
-    "InstanceTooLargeError",
-    "JobTimeline",
-    "ScheduleMetrics",
-    "ScheduleSimulator",
-    "brute_force_optimal",
-    "evaluate",
-    "LJF_MODES",
-    "fcfs_schedule",
-    "ljf_schedule",
-    "CsvFormatError",
-    "FleetSpec",
-    "WorkloadSpec",
-    "generate_fleet",
-    "generate_workload",
-    "read_jobs_csv",
-    "read_vms_csv",
-    "write_jobs_csv",
-    "write_vms_csv",
-    "ALGORITHMS",
-    "DEFAULT_VM_COUNTS",
-    "ExperimentConfig",
-    "ResultRow",
-    "SummaryRow",
-    "run_cell",
-    "run_sweep",
-    "summarize",
+    *lca.__all__,
+    *problem.__all__,
+    *evaluator.__all__,
+    *baselines.__all__,
+    *workload.__all__,
+    *bench.__all__,
 ]

@@ -12,12 +12,10 @@ the wall-clock column.
 
 from __future__ import annotations
 
-import csv
-import os
 import statistics
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -36,52 +34,22 @@ from .workload import (
     generate_fleet,
     generate_workload,
     read_jobs_csv,
+    _write_csv,
 )
 
 __all__ = [
     "ALGORITHMS",
     "DEFAULT_VM_COUNTS",
-    "RESULTS_CSV_HEADER",
-    "SUMMARY_CSV_HEADER",
     "ExperimentConfig",
     "ResultRow",
     "SummaryRow",
     "run_cell",
     "run_sweep",
     "summarize",
-    "write_results_csv",
-    "write_summary_csv",
-    "summary_path_for",
 ]
 
 ALGORITHMS = ("lca", "fcfs", "ljf")
 DEFAULT_VM_COUNTS = (10, 30, 50, 70, 90, 110, 130)
-
-RESULTS_CSV_HEADER = (
-    "algorithm",
-    "num_vms",
-    "seed",
-    "makespan",
-    "avg_completion",
-    "avg_response",
-    "objective_value",
-    "evaluations",
-    "wall_ms",
-)
-
-SUMMARY_CSV_HEADER = (
-    "algorithm",
-    "num_vms",
-    "mean_makespan",
-    "std_makespan",
-    "mean_avg_completion",
-    "std_avg_completion",
-    "mean_avg_response",
-    "std_avg_response",
-    "mean_objective_value",
-    "std_objective_value",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -150,17 +118,7 @@ class ResultRow:
         return (self.algorithm, self.num_vms, self.seed)
 
     def csv_fields(self) -> list[str]:
-        return [
-            self.algorithm,
-            str(self.num_vms),
-            str(self.seed),
-            repr(self.makespan),
-            repr(self.avg_completion),
-            repr(self.avg_response),
-            repr(self.objective_value),
-            str(self.evaluations),
-            repr(self.wall_ms),
-        ]
+        return _csv_fields(self)
 
 
 @dataclass(frozen=True)
@@ -177,18 +135,19 @@ class SummaryRow:
     std_objective_value: float
 
     def csv_fields(self) -> list[str]:
-        return [
-            self.algorithm,
-            str(self.num_vms),
-            repr(self.mean_makespan),
-            repr(self.std_makespan),
-            repr(self.mean_avg_completion),
-            repr(self.std_avg_completion),
-            repr(self.mean_avg_response),
-            repr(self.std_avg_response),
-            repr(self.mean_objective_value),
-            repr(self.std_objective_value),
-        ]
+        return _csv_fields(self)
+
+
+def _csv_fields(row) -> list[str]:
+    """A row's values in field order; floats keep full round-trip precision."""
+    values = (getattr(row, f.name) for f in fields(row))
+    return [repr(v) if isinstance(v, float) else str(v) for v in values]
+
+
+RESULTS_CSV_HEADER = tuple(f.name for f in fields(ResultRow))
+SUMMARY_CSV_HEADER = tuple(f.name for f in fields(SummaryRow))
+# The metrics summarize averages: each mean_<name> column of SummaryRow.
+_SUMMARY_METRICS = tuple(name.removeprefix("mean_") for name in SUMMARY_CSV_HEADER if name.startswith("mean_"))
 
 
 @dataclass(frozen=True)
@@ -313,14 +272,9 @@ def summarize(rows: Sequence[ResultRow]) -> list[SummaryRow]:
     summary = []
     for (algorithm, num_vms) in sorted(groups):
         members = groups[(algorithm, num_vms)]
-        columns = {
-            "makespan": [r.makespan for r in members],
-            "avg_completion": [r.avg_completion for r in members],
-            "avg_response": [r.avg_response for r in members],
-            "objective_value": [r.objective_value for r in members],
-        }
         stats = {}
-        for name, values in columns.items():
+        for name in _SUMMARY_METRICS:
+            values = [getattr(r, name) for r in members]
             stats[f"mean_{name}"] = statistics.fmean(values)
             stats[f"std_{name}"] = statistics.pstdev(values)
         summary.append(SummaryRow(algorithm=algorithm, num_vms=num_vms, **stats))
@@ -344,23 +298,3 @@ def _check_writable(directory: Path) -> None:
     """Raise ``OSError`` unless a file can be created in ``directory``."""
     with tempfile.TemporaryFile(dir=directory):
         pass
-
-
-def _write_csv(header, field_rows, sink) -> None:
-    """Write to an open text sink, or atomically replace the file at a path:
-    the rows go to a temporary file beside it, which is renamed over it."""
-    if hasattr(sink, "write"):
-        writer = csv.writer(sink)
-        writer.writerow(header)
-        writer.writerows(field_rows)
-        return
-    path = Path(sink)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    handle = open(temp, "x", encoding="utf-8", newline="")
-    try:
-        with handle:
-            _write_csv(header, field_rows, handle)
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise

@@ -137,19 +137,21 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def _workload_spec(args) -> WorkloadSpec:
+    return WorkloadSpec(
+        job_count=args.num_jobs,
+        len_min=args.len_min,
+        len_max=args.len_max,
+        arrival_rate=args.arrival_rate,
+        seed=args.seed,
+    )
+
+
 def _cmd_generate(args) -> int:
     if args.jobs_out is None and args.vms_out is None:
         raise ValueError("nothing to do: pass --jobs-out and/or --vms-out")
     if args.jobs_out is not None:
-        jobs = generate_workload(
-            WorkloadSpec(
-                job_count=args.num_jobs,
-                len_min=args.len_min,
-                len_max=args.len_max,
-                arrival_rate=args.arrival_rate,
-                seed=args.seed,
-            )
-        )
+        jobs = generate_workload(_workload_spec(args))
         write_jobs_csv(jobs, args.jobs_out)
         print(f"wrote {len(jobs)} jobs to {args.jobs_out}")
     if args.vms_out is not None:
@@ -191,15 +193,7 @@ def _cmd_oracle(args) -> int:
     if args.jobs_file is not None:
         jobs = read_jobs_csv(args.jobs_file)
     else:
-        jobs = generate_workload(
-            WorkloadSpec(
-                job_count=args.num_jobs,
-                len_min=args.len_min,
-                len_max=args.len_max,
-                arrival_rate=args.arrival_rate,
-                seed=args.seed,
-            )
-        )
+        jobs = generate_workload(_workload_spec(args))
     vms = generate_fleet(FleetSpec(vm_count=args.num_vms, speed_choices=args.vm_speeds, seed=args.seed))
     assignment, metrics = brute_force_optimal(jobs, vms, args.weights)
     print("assignment:", ",".join(str(v) for v in assignment))

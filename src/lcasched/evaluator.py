@@ -30,12 +30,9 @@ __all__ = [
     "JobTimeline",
     "ScheduleMetrics",
     "ScheduleSimulator",
-    "BatchScorer",
-    "BatchDraft",
     "InstanceTooLargeError",
     "evaluate",
     "brute_force_optimal",
-    "BRUTE_FORCE_CAP",
 ]
 
 BRUTE_FORCE_CAP = 10_000_000
@@ -66,14 +63,16 @@ class ScheduleSimulator:
 
     Queues are reconstructed per assignment fully vectorized: jobs are put
     in service order, stably grouped by VM, and each queue's start times
-    follow from running prefix sums of the execution times (plus a running
-    maximum of arrival slack when arrivals are staggered).
+    follow from running prefix sums of the execution times plus a running
+    maximum of arrival slack. Batch instances (every arrival at zero) take
+    the same formula: the slack's maximum is then the queue head's, so a
+    start is the prefix sum of its own queue.
 
     The grouping sorts VM indices cast to the narrowest unsigned dtype that
     holds ``num_vms - 1`` (uint8 up to 256 VMs, uint16 up to 65536); on
     those numpy's stable argsort is a radix sort, and a stable sort yields the
     same permutation on any integer dtype. The per-queue running maximum is
-    one ``np.maximum.accumulate`` over complex keys (queue number + slack·j),
+    one ``np.maximum.accumulate`` over complex keys (VM index + slack·j),
     which numpy orders lexicographically, so it restarts at every queue head
     without a Python loop. Neither step rounds, so results are bit-identical
     to a per-queue replay with int64 keys.
@@ -91,7 +90,6 @@ class ScheduleSimulator:
         self._service_order = np.lexsort((ids, self.arrivals))
         self._arrivals_sorted = self.arrivals[self._service_order]
         self._lengths_sorted = self.lengths[self._service_order]
-        self._batch = bool(np.all(self.arrivals == 0.0))
         self._min_arrival = float(self.arrivals.min())
         self._vm_key = np.min_scalar_type(self.num_vms - 1)
 
@@ -103,20 +101,9 @@ class ScheduleSimulator:
         exec_times = self._lengths_sorted[group] / self.speeds.take(grouped_vm)
         totals = np.cumsum(exec_times)
         before = totals - exec_times
-        first = np.empty(grouped_vm.size, dtype=bool)
-        first[0] = True
-        first[1:] = grouped_vm[1:] != grouped_vm[:-1]
-        if self._batch:
-            queue_heads = np.flatnonzero(first)
-            counts = np.diff(np.append(queue_heads, grouped_vm.size))
-            offsets = np.repeat(before[queue_heads], counts)
-            starts = np.maximum(before - offsets, 0.0)
-            waits = starts
-        else:
-            arrivals = self._arrivals_sorted[group]
-            slack = arrivals - before
-            starts = np.maximum(before + _segmented_cummax(slack, first), arrivals)
-            waits = starts - arrivals
+        arrivals = self._arrivals_sorted[group]
+        starts = np.maximum(before + _segmented_cummax(arrivals - before, grouped_vm), arrivals)
+        waits = starts - arrivals
         finishes = starts + exec_times
         metrics = ScheduleMetrics(
             makespan=float(finishes.max()) - self._min_arrival,
@@ -353,15 +340,15 @@ class BatchDraft:
         self._pending = ((), weighted, totals, value)
 
 
-def _segmented_cummax(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Running maximum restarted at every True in ``first``.
+def _segmented_cummax(values: np.ndarray, queue: np.ndarray) -> np.ndarray:
+    """Running maximum restarted wherever the nondecreasing ``queue`` grows.
 
-    Keys pair a queue number that grows at every head (real part) with the
-    value (imaginary part); the lexicographic running maximum of the keys
-    never carries a value across a head.
+    Keys pair the queue number (real part) with the value (imaginary part);
+    the lexicographic running maximum of the keys never carries a value
+    across a queue head.
     """
     keys = np.empty(values.size, dtype=np.complex128)
-    keys.real = np.cumsum(first)
+    keys.real = queue
     keys.imag = values
     return np.maximum.accumulate(keys).imag
 

@@ -13,7 +13,7 @@ All randomness flows through a single numpy PCG64 generator seeded from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,15 +24,12 @@ __all__ = [
     "LcaParams",
     "Team",
     "LeagueSchedule",
-    "WeekOutcome",
-    "LeagueState",
     "OptimizeResult",
     "generate_league_schedule",
     "win_probability",
     "play_week",
     "truncated_geometric",
     "change_count",
-    "select_change_mask",
     "swot_formation",
     "swot_update",
     "optimize",
@@ -107,8 +104,9 @@ class LcaParams:
             raise ValueError("seasons must be a positive integer")
         if not 0.0 < self.change_prob < 1.0:
             raise ValueError("change_prob must lie strictly between 0 and 1")
-        if self.retreat_coeff < 0.0 or self.approach_coeff < 0.0:
-            raise ValueError("retreat_coeff and approach_coeff must be nonnegative")
+        for name in ("retreat_coeff", "approach_coeff"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)!r}")
         if self.retreat_coeff == 0.0 and self.approach_coeff == 0.0:
             raise ValueError("retreat_coeff and approach_coeff must not both be zero")
         if not 0 <= self.seed < 2**64:
@@ -184,44 +182,34 @@ def win_probability(fitness_a: float, fitness_b: float, ideal: float) -> float:
     return gap_b / denominator
 
 
-@dataclass(frozen=True, eq=False)
-class WeekOutcome:
-    """Results of one week: per team, whom it faced and whether it won."""
-
-    week_index: int
-    opponent: np.ndarray
-    won: np.ndarray
-
-
 def play_week(
     matches: Sequence[tuple[int, int]],
     fitnesses: np.ndarray,
     ideal: float,
     rng: np.random.Generator,
-    week_index: int = 0,
-) -> WeekOutcome:
+) -> np.ndarray:
     """Draw one winner per match; the first listed team wins iff u < its odds.
 
-    Every team must appear in exactly one match. One uniform draw is
-    consumed per match, in fixture order.
+    Returns a boolean array: entry i is True when team i won. Every team
+    must appear in exactly one match. One uniform draw is consumed per
+    match, in fixture order.
     """
     fitnesses = np.asarray(fitnesses, dtype=float)
     num_teams = fitnesses.size
-    opponent = np.full(num_teams, -1, dtype=np.int64)
+    played = np.zeros(num_teams, dtype=bool)
     won = np.zeros(num_teams, dtype=bool)
     for a, b in matches:
         if a == b:
             raise ValueError("a team cannot play itself")
-        if opponent[a] != -1 or opponent[b] != -1:
+        if played[a] or played[b]:
             raise ValueError("a team appears in more than one match this week")
-        opponent[a] = b
-        opponent[b] = a
+        played[a] = played[b] = True
         a_wins = rng.random() < win_probability(fitnesses[a], fitnesses[b], ideal)
         won[a] = a_wins
         won[b] = not a_wins
-    if int((opponent >= 0).sum()) != num_teams:
+    if not played.all():
         raise ValueError("every team must play exactly once per week")
-    return WeekOutcome(week_index=week_index, opponent=opponent, won=won)
+    return won
 
 
 def truncated_geometric(r, dimension: int, change_prob: float):
@@ -271,15 +259,6 @@ def _change_indices(rng: np.random.Generator, dimension: int, count: int) -> np.
     return rng.choice(dimension, count, replace=False)
 
 
-def select_change_mask(rng: np.random.Generator, dimension: int, count: int) -> np.ndarray:
-    """Boolean mask with exactly ``count`` slots set, uniform without replacement."""
-    if not 1 <= count <= dimension:
-        raise ValueError("count must lie in [1, dimension]")
-    mask = np.zeros(dimension, dtype=bool)
-    mask[_change_indices(rng, dimension, count)] = True
-    return mask
-
-
 def swot_formation(
     best: np.ndarray,
     current: np.ndarray,
@@ -289,18 +268,17 @@ def swot_formation(
     rival_opponent_won: bool,
     retreat_coeff: float,
     approach_coeff: float,
-    mask: np.ndarray,
     gain_rival: np.ndarray,
     gain_opponent: np.ndarray,
 ) -> np.ndarray:
     """Deterministic core of the weekly rebuild, anchored at ``best``.
 
-    Two pulls act on the masked slots: one relative to the team that just
-    played our next rival (approach it if it won, retreat if it lost) and
-    one relative to this week's opponent (retreat from it if we beat it,
-    approach it if it beat us). The four win/loss combinations cover the
-    strength/weakness versus opportunity/threat cases. Unmasked slots copy
-    ``best`` bit for bit.
+    The arguments hold the changed slots only. Two pulls act on them: one
+    relative to the team that just played our next rival (approach it if it
+    won, retreat if it lost) and one relative to this week's opponent
+    (retreat from it if we beat it, approach it if it beat us). The four
+    win/loss combinations cover the strength/weakness versus
+    opportunity/threat cases.
     """
     if rival_opponent_won:
         rival_pull = approach_coeff * (rival_opponent_formation - current)
@@ -310,8 +288,7 @@ def swot_formation(
         opponent_pull = retreat_coeff * (current - opponent_formation)
     else:
         opponent_pull = approach_coeff * (opponent_formation - current)
-    step = gain_rival * rival_pull + gain_opponent * opponent_pull
-    return np.where(mask, best + step, best)
+    return best + (gain_rival * rival_pull + gain_opponent * opponent_pull)
 
 
 def swot_update(
@@ -350,23 +327,12 @@ def swot_update(
         rival_opponent_won,
         params.retreat_coeff,
         params.approach_coeff,
-        np.ones(count, dtype=bool),
         gains[0],
         gains[1],
     )
     new = team.best_formation.copy()
     new[changed] = np.clip(rebuilt, domain.lower[changed], domain.upper[changed])
     return new
-
-
-@dataclass(eq=False)
-class LeagueState:
-    """Mutable run state: the teams, the best value seen anywhere, and its log."""
-
-    teams: list[Team]
-    ideal_fitness: float
-    evaluations: int
-    history: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,24 +384,25 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     formations = rng.uniform(domain.lower, domain.upper, size=(league, n))
     delta_scorer = getattr(type(objective), "delta_scorer", None)
     scorers = [delta_scorer(objective, x) for x in formations] if delta_scorer else None
-    state = LeagueState(teams=[], ideal_fitness=math.inf, evaluations=0)
+    evaluations = 0
 
     def checked(value) -> float:
-        state.evaluations += 1
+        nonlocal evaluations
+        evaluations += 1
         value = float(value)
         if not math.isfinite(value):
-            raise ValueError(f"objective returned {value} at evaluation {state.evaluations}")
+            raise ValueError(f"objective returned {value} at evaluation {evaluations}")
         return value
 
-    teams = state.teams
+    teams = []
     for i in range(league):
         x = formations[i]
         f = checked(scorers[i].fitness if scorers else objective(x))
         teams.append(Team(formation=x, fitness=f, best_formation=x.copy(), best_fitness=f))
-    state.ideal_fitness = min(t.fitness for t in teams)
     best_index = min(range(league), key=lambda i: teams[i].fitness)
+    ideal_fitness = teams[best_index].fitness
     best_formation = teams[best_index].formation.copy()
-    state.history.append(state.ideal_fitness)
+    history = [ideal_fitness]
 
     schedule = generate_league_schedule(league)
     opponents = schedule.opponents()
@@ -443,28 +410,26 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     total_weeks = params.seasons * weeks_per_season
 
     for week in range(total_weeks):
-        if budget is not None and state.evaluations >= budget:
+        if budget is not None and evaluations >= budget:
             break
         this_week = week % weeks_per_season
         next_week = (week + 1) % weeks_per_season
         fitnesses = np.array([t.fitness for t in teams])
-        outcome = play_week(
-            schedule.weeks[this_week], fitnesses, state.ideal_fitness, rng, week_index=week
-        )
+        won = play_week(schedule.weeks[this_week], fitnesses, ideal_fitness, rng)
         # Drafts are built against this week's formations and committed together.
         snapshot = [t.formation for t in teams]
         drafts: list[tuple[np.ndarray, float]] = []
         for i, team in enumerate(teams):
-            if budget is not None and state.evaluations >= budget:
+            if budget is not None and evaluations >= budget:
                 break
             rival = int(opponents[next_week, i])
             rival_opponent = int(opponents[this_week, rival])
             candidate = swot_update(
                 team,
-                snapshot[int(outcome.opponent[i])],
+                snapshot[int(opponents[this_week, i])],
                 snapshot[rival_opponent],
-                bool(outcome.won[i]),
-                bool(outcome.won[rival_opponent]),
+                bool(won[i]),
+                bool(won[rival_opponent]),
                 params,
                 domain,
                 rng,
@@ -480,17 +445,17 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
                 team.best_fitness = f
                 if scorers:
                     scorers[i].commit()
-            if f < state.ideal_fitness:
-                state.ideal_fitness = f
+            if f < ideal_fitness:
+                ideal_fitness = f
                 best_formation = candidate.copy()
         for team, (x, f) in zip(teams, drafts):
             team.formation = x
             team.fitness = f
-        state.history.append(state.ideal_fitness)
+        history.append(ideal_fitness)
 
     return OptimizeResult(
         best_formation=best_formation,
-        best_fitness=state.ideal_fitness,
-        history=state.history,
-        evaluations=state.evaluations,
+        best_fitness=ideal_fitness,
+        history=history,
+        evaluations=evaluations,
     )

@@ -73,8 +73,9 @@ class MetricWeights:
     response: float = 0.0
 
     def __post_init__(self):
-        if self.makespan < 0.0 or self.completion < 0.0 or self.response < 0.0:
-            raise ValueError("weights must be nonnegative")
+        for name in ("makespan", "completion", "response"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} weight must be finite and nonnegative, got {getattr(self, name)!r}")
         if self.makespan == 0.0 and self.completion == 0.0 and self.response == 0.0:
             raise ValueError("at least one weight must be positive")
 

@@ -14,7 +14,10 @@ files carry ``vm_id,mips``, UTF-8 with ``.`` decimals.
 from __future__ import annotations
 
 import csv
+import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,11 +25,6 @@ import numpy as np
 from .problem import Job, Vm
 
 __all__ = [
-    "DEFAULT_LEN_MIN",
-    "DEFAULT_LEN_MAX",
-    "DEFAULT_SPEED_CHOICES",
-    "JOBS_CSV_HEADER",
-    "VMS_CSV_HEADER",
     "CsvFormatError",
     "WorkloadSpec",
     "FleetSpec",
@@ -70,8 +68,8 @@ class WorkloadSpec:
             raise ValueError("job_count must be positive")
         if not 0 < self.len_min <= self.len_max:
             raise ValueError("need 0 < len_min <= len_max")
-        if self.arrival_rate is not None and not self.arrival_rate > 0.0:
-            raise ValueError("arrival_rate must be positive when set")
+        if self.arrival_rate is not None and not 0.0 < self.arrival_rate < math.inf:
+            raise ValueError(f"arrival_rate must be finite and positive when set, got {self.arrival_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,6 @@ def _open_for_read(source):
     return open(source, "r", encoding="utf-8", newline=""), True
 
 
-def _open_for_write(sink):
-    if hasattr(sink, "write"):
-        return sink, False
-    return open(sink, "w", encoding="utf-8", newline=""), True
-
-
 def _parse_rows(source, header: tuple[str, ...]):
     handle, owned = _open_for_read(source)
     try:
@@ -172,15 +164,8 @@ def read_jobs_csv(source) -> list[Job]:
 
 def write_jobs_csv(jobs: Sequence[Job], sink) -> None:
     """Write jobs in id order; floats keep full round-trip precision."""
-    handle, owned = _open_for_write(sink)
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(JOBS_CSV_HEADER)
-        for job in sorted(jobs, key=lambda j: j.id):
-            writer.writerow([job.id, repr(job.arrival_time), job.length])
-    finally:
-        if owned:
-            handle.close()
+    rows = [[job.id, repr(job.arrival_time), job.length] for job in sorted(jobs, key=lambda j: j.id)]
+    _write_csv(JOBS_CSV_HEADER, rows, sink)
 
 
 def read_vms_csv(source) -> list[Vm]:
@@ -206,12 +191,34 @@ def read_vms_csv(source) -> list[Vm]:
 
 
 def write_vms_csv(vms: Sequence[Vm], sink) -> None:
-    handle, owned = _open_for_write(sink)
+    _write_csv(VMS_CSV_HEADER, [[vm.id, repr(vm.speed)] for vm in sorted(vms, key=lambda v: v.id)], sink)
+
+
+def _write_csv(header, rows, sink) -> None:
+    """Write to an open text sink, or atomically replace the file at a path:
+    the rows go to a temporary file beside it, which is renamed over it.
+
+    A path that names a device or pipe (``/dev/stdout``, say) is written
+    through, since there is no file to replace, and a symlink to a file
+    has its target replaced, not the link.
+    """
+    if hasattr(sink, "write"):
+        writer = csv.writer(sink)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    path = Path(sink)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            _write_csv(header, rows, handle)
+        return
+    path = path.resolve()
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    handle = open(temp, "x", encoding="utf-8", newline="")
     try:
-        writer = csv.writer(handle)
-        writer.writerow(VMS_CSV_HEADER)
-        for vm in sorted(vms, key=lambda v: v.id):
-            writer.writerow([vm.id, repr(vm.speed)])
-    finally:
-        if owned:
-            handle.close()
+        with handle:
+            _write_csv(header, rows, handle)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lcasched.bench
+import lcasched.workload
 from lcasched import (
     ExperimentConfig,
     Job,
@@ -289,6 +290,22 @@ class TestCli:
             main(["sweep", "--vm-counts", "a,b"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("weights", ["nan,1,0", "inf,1,0", "0,1,nan"])
+    def test_non_finite_weight_exits_2(self, capsys, weights):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--algorithm", "fcfs", "--num-vms", "3", "--num-jobs", "20", "--weights", weights, "--no-timing"])
+        assert excinfo.value.code == 2
+        assert "weight must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--psi1", "nan", "retreat_coeff"), ("--psi2", "inf", "approach_coeff"), ("--arrival-rate", "inf", "arrival_rate")],
+    )
+    def test_non_finite_parameter_exits_2_naming_it(self, capsys, flag, value, field):
+        rc = main(["run", "--algorithm", "lca", "--num-vms", "3", "--num-jobs", "20", flag, value, "--no-timing"])
+        assert rc == 2
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
 
 def test_import_leaves_out_the_process_pool():
     # worker processes are only started by run_sweep(workers > 1), which imports the pool itself
@@ -314,7 +331,7 @@ class TestSweepOutputSafety:
         if existing:
             write_results_csv(rows[:1], path)
         before = path.read_bytes() if existing else None
-        real_writer = lcasched.bench.csv.writer
+        real_writer = lcasched.workload.csv.writer
 
         class FailingWriter:
             def __init__(self, handle):
@@ -325,7 +342,7 @@ class TestSweepOutputSafety:
                 self.inner.writerow(field_rows[0])
                 raise OSError("device full")
 
-        monkeypatch.setattr(lcasched.bench.csv, "writer", FailingWriter)
+        monkeypatch.setattr(lcasched.workload.csv, "writer", FailingWriter)
         with pytest.raises(OSError, match="device full"):
             write_results_csv(rows, path)
         monkeypatch.undo()

@@ -11,7 +11,6 @@ from lcasched import (
     Team,
     change_count,
     play_week,
-    select_change_mask,
     swot_formation,
     swot_update,
     truncated_geometric,
@@ -63,17 +62,17 @@ class TestPlayWeek:
     def test_side_at_ideal_always_wins(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            outcome = play_week([(0, 1)], np.array([1.0, 4.0]), 1.0, rng)
-            assert outcome.won[0] and not outcome.won[1]
+            won = play_week([(0, 1)], np.array([1.0, 4.0]), 1.0, rng)
+            assert won[0] and not won[1]
 
     def test_equal_fitnesses_are_even_money(self):
         rng = np.random.default_rng(7)
         wins = np.zeros(2)
         trials = 100_000
         for _ in range(trials):
-            outcome = play_week([(0, 1), (2, 3)], np.ones(4), 1.0, rng)
-            wins[0] += outcome.won[0]
-            wins[1] += outcome.won[2]
+            won = play_week([(0, 1), (2, 3)], np.ones(4), 1.0, rng)
+            wins[0] += won[0]
+            wins[1] += won[2]
         assert abs(wins[0] / trials - 0.5) < 0.02
         assert abs(wins[1] / trials - 0.5) < 0.02
 
@@ -81,18 +80,16 @@ class TestPlayWeek:
         rng = np.random.default_rng(11)
         trials = 100_000
         wins = sum(
-            play_week([(0, 1)], np.array([2.0, 4.0]), 0.0, rng).won[0] for _ in range(trials)
+            play_week([(0, 1)], np.array([2.0, 4.0]), 0.0, rng)[0] for _ in range(trials)
         )
         assert abs(wins / trials - 2.0 / 3.0) < 0.01
 
-    def test_records_opponents_and_single_winner(self):
+    def test_one_winner_per_match(self):
         rng = np.random.default_rng(3)
-        outcome = play_week([(0, 2), (1, 3)], np.array([1.0, 2.0, 3.0, 4.0]), 0.5, rng, week_index=9)
-        assert outcome.week_index == 9
-        assert outcome.opponent[0] == 2 and outcome.opponent[2] == 0
-        assert outcome.opponent[1] == 3 and outcome.opponent[3] == 1
-        assert outcome.won[0] != outcome.won[2]
-        assert outcome.won[1] != outcome.won[3]
+        won = play_week([(0, 2), (1, 3)], np.array([1.0, 2.0, 3.0, 4.0]), 0.5, rng)
+        assert won.dtype == bool and won.shape == (4,)
+        assert won[0] != won[2]
+        assert won[1] != won[3]
 
     def test_team_in_two_matches_rejected(self):
         rng = np.random.default_rng(0)
@@ -151,78 +148,90 @@ class TestChangeCount:
         assert 1 in counts
 
 
-class TestSelectChangeMask:
+def changed_slots(dimension, change_prob, calls):
+    """For each of ``calls`` successive ``swot_update`` calls, the slots it
+    changes and the change count that a mirror of its first draw gives.
+    Every pull is nonzero, so each changed slot moves off the best
+    formation (which is all zeros)."""
+    domain = BoxDomain.cube(dimension, -10.0, 10.0)
+    params = LcaParams(league_size=4, seasons=1, change_prob=change_prob, seed=0)
+    team = Team(np.ones(dimension), 1.0, np.zeros(dimension), 0.5)
+    opponent, rival_opponent = np.full(dimension, 2.0), np.full(dimension, 3.0)
+    rng, mirror = np.random.default_rng(2), np.random.default_rng()
+    for _ in range(calls):
+        mirror.bit_generator.state = rng.bit_generator.state
+        new = swot_update(team, opponent, rival_opponent, True, False, params, domain, rng)
+        yield new != 0.0, change_count(mirror, dimension, change_prob)
+
+
+class TestChangedSlots:
     def test_full_mask(self):
-        rng = np.random.default_rng(0)
-        assert select_change_mask(rng, 5, 5).all()
+        full = 0
+        for mask, count in changed_slots(5, 0.05, 400):
+            if count == 5:
+                full += 1
+                assert mask.all()
+        assert full > 20
 
     def test_popcount(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            assert select_change_mask(rng, 10, 3).sum() == 3
+        for mask, count in changed_slots(10, 0.3, 300):
+            assert mask.sum() == count
 
     def test_uniform_selection(self):
-        rng = np.random.default_rng(2)
-        trials = 100_000
+        trials = 40_000
         hits = np.zeros(5)
-        for _ in range(trials):
-            hits += select_change_mask(rng, 5, 2)
-        assert np.all(np.abs(hits / trials - 0.4) < 0.01)
-
-    @pytest.mark.parametrize("count", [0, 6, -1])
-    def test_invalid_count(self, count):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            select_change_mask(rng, 5, count)
+        changes = 0
+        for mask, count in changed_slots(5, 0.5, trials):
+            hits += mask
+            changes += count
+        # each slot is changed with probability E[count] / 5
+        assert np.all(np.abs(hits / trials - changes / (5 * trials)) < 0.01)
 
 
 class TestSwotUpdate:
     def test_hand_case_won_against_loser_side(self):
         new = swot_formation(
-            best=np.array([1.0, 1.0]),
-            current=np.array([2.0, 2.0]),
-            opponent_formation=np.array([0.0, 0.0]),
-            rival_opponent_formation=np.array([4.0, 4.0]),
+            best=np.array([1.0]),
+            current=np.array([2.0]),
+            opponent_formation=np.array([0.0]),
+            rival_opponent_formation=np.array([4.0]),
             won=True,
             rival_opponent_won=False,
             retreat_coeff=1.0,
             approach_coeff=1.0,
-            mask=np.array([True, False]),
-            gain_rival=np.array([1.0, 1.0]),
-            gain_opponent=np.array([0.5, 0.5]),
+            gain_rival=np.array([1.0]),
+            gain_opponent=np.array([0.5]),
         )
-        assert new.tolist() == [0.0, 1.0]
+        assert new.tolist() == [0.0]
 
     def test_hand_case_lost_against_winner_side(self):
         new = swot_formation(
-            best=np.array([1.0, 1.0]),
-            current=np.array([2.0, 2.0]),
-            opponent_formation=np.array([0.0, 0.0]),
-            rival_opponent_formation=np.array([4.0, 4.0]),
+            best=np.array([1.0]),
+            current=np.array([2.0]),
+            opponent_formation=np.array([0.0]),
+            rival_opponent_formation=np.array([4.0]),
             won=False,
             rival_opponent_won=True,
             retreat_coeff=1.0,
             approach_coeff=1.0,
-            mask=np.array([True, False]),
-            gain_rival=np.array([0.5, 0.5]),
-            gain_opponent=np.array([0.5, 0.5]),
+            gain_rival=np.array([0.5]),
+            gain_opponent=np.array([0.5]),
         )
-        assert new.tolist() == [1.0, 1.0]
+        assert new.tolist() == [1.0]
 
     def test_zero_gains_collapse_to_best(self):
-        best = np.array([0.25, -1.5, 3.0])
+        best = np.array([0.25, 3.0])
         new = swot_formation(
             best=best,
-            current=np.array([1.0, 1.0, 1.0]),
-            opponent_formation=np.array([2.0, 0.0, 5.0]),
-            rival_opponent_formation=np.array([-1.0, 2.0, 0.5]),
+            current=np.array([1.0, 1.0]),
+            opponent_formation=np.array([2.0, 5.0]),
+            rival_opponent_formation=np.array([-1.0, 0.5]),
             won=True,
             rival_opponent_won=True,
             retreat_coeff=1.0,
             approach_coeff=1.0,
-            mask=np.array([True, False, True]),
-            gain_rival=np.zeros(3),
-            gain_opponent=np.zeros(3),
+            gain_rival=np.zeros(2),
+            gain_opponent=np.zeros(2),
         )
         assert np.array_equal(new, best)
 
@@ -242,7 +251,9 @@ class TestSwotUpdate:
             # recover the mask the update will use.
             rng = np.random.default_rng(1000 + trial)
             mirror = np.random.default_rng(1000 + trial)
-            mask = select_change_mask(mirror, 12, change_count(mirror, 12, params.change_prob))
+            count = change_count(mirror, 12, params.change_prob)
+            mask = np.zeros(12, dtype=bool)
+            mask[mirror.permutation(12)[:count]] = True
             new = swot_update(
                 team,
                 vectors[2],
@@ -284,7 +295,8 @@ class TestSwotUpdate:
                 rng = np.random.default_rng(5000 + trial)
                 mirror = np.random.default_rng(5000 + trial)
                 count = change_count(mirror, dimension, params.change_prob)
-                mask = select_change_mask(mirror, dimension, count)
+                mask = np.zeros(dimension, dtype=bool)
+                mask[draw_slots(mirror, count)] = True
                 gains = mirror.random((2, count))
                 # scatter the block gains onto the drawn slots, in draw order
                 mirror2 = np.random.default_rng(5000 + trial)
@@ -306,7 +318,6 @@ class TestSwotUpdate:
                             rival_won,
                             params.retreat_coeff,
                             params.approach_coeff,
-                            mask,
                             gain_rival,
                             gain_opponent,
                         )
@@ -348,6 +359,12 @@ class TestLcaParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             LcaParams(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["retreat_coeff", "approach_coeff"])
+    def test_coefficients_must_be_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LcaParams(**{name: bad})
 
     def test_defaults_are_valid(self):
         params = LcaParams()

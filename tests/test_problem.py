@@ -149,3 +149,9 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             MetricWeights(-1.0, 1.0, 0.0)
         assert MetricWeights().completion == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["makespan", "completion", "response"])
+    def test_weights_must_be_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} weight must be finite"):
+            MetricWeights(**{name: bad})

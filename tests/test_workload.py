@@ -1,4 +1,7 @@
 import io
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -69,6 +72,11 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError):
             WorkloadSpec(**kwargs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_arrival_rate_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="arrival_rate must be finite"):
+            WorkloadSpec(job_count=5, arrival_rate=bad)
+
 
 class TestGenerateFleet:
     def test_uniform_single_choice(self):
@@ -123,6 +131,34 @@ class TestJobsCsv:
         path = tmp_path / "big.csv"
         write_jobs_csv(jobs, path)
         assert read_jobs_csv(path) == jobs
+
+    def test_a_pipe_is_written_through(self, tmp_path):
+        # a device or pipe such as /dev/stdout must not be renamed over
+        jobs = [Job(0, 0.0, 10), Job(1, 2.5, 999)]
+        fifo = tmp_path / "jobs.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_jobs_csv(jobs, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.fifo"]
+        sink = io.StringIO(newline="")
+        write_jobs_csv(jobs, sink)
+        assert received == [sink.getvalue().encode("utf-8")]
+
+    def test_a_symlink_keeps_pointing_at_the_written_file(self, tmp_path):
+        jobs = [Job(0, 0.0, 10), Job(1, 2.5, 999)]
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "jobs.csv"
+        target.write_text("old\n")
+        link = tmp_path / "jobs.csv"
+        link.symlink_to(target)
+        write_jobs_csv(jobs, link)
+        assert link.is_symlink()
+        assert read_jobs_csv(target) == jobs
 
     def test_writes_in_id_order(self):
         sink = io.StringIO()
