@@ -1,15 +1,18 @@
 """Dispatch-rule schedulers used as comparison points.
 
 Both walk the jobs in a fixed dispatch order and hand each to the VM whose
-queue frees up earliest (ties to the lowest VM id), accounting for the
-job's arrival. FCFS dispatches in arrival order; LJF dispatches longest
-job first by default, or latest arrival first in ``last-arrival`` mode.
+queue frees up earliest, accounting for the job's arrival. FCFS dispatches
+in arrival order; LJF dispatches longest job first by default, or latest
+arrival first in ``last-arrival`` mode. The VMs sit in a binary heap of
+``(ready_time, vm_id)`` tuples, so a dispatch costs O(log m) instead of a
+scan of all m queues, and tuple order sends ties to the lowest VM id.
 The returned assignment is aligned with the input job list; service order
 within a VM is decided by the evaluator, not by dispatch order.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
 
 import numpy as np
@@ -22,14 +25,15 @@ LJF_MODES = ("longest", "last-arrival")
 
 
 def _greedy_earliest_ready(jobs, vms, dispatch_order) -> np.ndarray:
-    ready = np.zeros(len(vms), dtype=float)
-    assignment = np.empty(len(jobs), dtype=np.int64)
+    speeds = [vm.speed for vm in vms]
+    heap = [(0.0, vm) for vm in range(len(vms))]  # sorted, hence a valid heap
+    assignment = [0] * len(jobs)
     for position in dispatch_order:
         job = jobs[position]
-        vm = int(np.argmin(ready))  # first minimum, so ties go to the lowest id
-        ready[vm] = max(ready[vm], job.arrival_time) + job.length / vms[vm].speed
+        ready, vm = heap[0]
+        heapq.heapreplace(heap, (max(ready, job.arrival_time) + job.length / speeds[vm], vm))
         assignment[position] = vm
-    return assignment
+    return np.array(assignment, dtype=np.int64)
 
 
 def _check_inputs(jobs, vms):

@@ -3,15 +3,21 @@
 A cell rebuilds its workload and fleet from the cell seed (three
 sub-streams split off with ``numpy.random.SeedSequence``: workload, fleet,
 optimizer), so every algorithm sees identical inputs for the same seed and
-the whole sweep is reproducible. Rows are always written sorted by
-(algorithm, num_vms, seed) no matter how cells were executed, and all
-floats are serialized with full round-trip precision, so the results CSV
-is byte-identical across runs and worker counts once ``no_timing`` zeroes
-the wall-clock column.
+the whole sweep is reproducible. A sweep runs its cells seed-major (seed,
+then algorithm, then VM count), and a process keeps the last generated
+workload, so each seed's jobs are generated once per process rather than
+once per cell; only the first cell of a seed counts that generation in
+its ``wall_ms``. Rows are always written sorted by (algorithm, num_vms,
+seed) no matter how cells were executed, and all floats are serialized
+with full round-trip precision, so the results CSV is byte-identical
+across runs and worker counts once ``no_timing`` zeroes the wall-clock
+column.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import statistics
 import tempfile
 import time
@@ -98,6 +104,10 @@ class ExperimentConfig:
             raise ValueError("need 0 < len_min <= len_max")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not self.vm_speeds or not all(0.0 < s < math.inf for s in self.vm_speeds):
+            raise ValueError(f"vm_speeds must be non-empty, finite and positive, got {self.vm_speeds!r}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +168,13 @@ class _SweepConfig(ExperimentConfig):
     jobs: tuple[Job, ...] = ()
 
 
+@functools.lru_cache(maxsize=1)
+def _generated_jobs(spec: WorkloadSpec) -> tuple[Job, ...]:
+    """The spec's workload, kept until a cell asks for another one; a
+    seed-major sweep therefore generates each seed's jobs once."""
+    return tuple(generate_workload(spec))
+
+
 def _cell_inputs(config: ExperimentConfig, num_vms: int, seed: int):
     workload_seed, fleet_seed, optimizer_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64)
@@ -167,7 +184,7 @@ def _cell_inputs(config: ExperimentConfig, num_vms: int, seed: int):
     elif config.jobs_file is not None:
         jobs = read_jobs_csv(config.jobs_file)
     else:
-        jobs = generate_workload(
+        jobs = _generated_jobs(
             WorkloadSpec(
                 job_count=config.num_jobs,
                 len_min=config.len_min,
@@ -195,6 +212,8 @@ def run_cell(config: ExperimentConfig, algorithm: str, num_vms: int, seed: int) 
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     started = time.perf_counter()
     jobs, vms, optimizer_seed = _cell_inputs(config, num_vms, seed)
     simulator = ScheduleSimulator(jobs, vms)
@@ -233,8 +252,9 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRo
     """Run the full algorithms x vm_counts x reps grid and write both CSVs.
 
     Cells are independent and may run in parallel (``config.workers``); the
-    output is sorted and therefore independent of execution order. A
-    ``jobs_file`` is read once and its job list shared by every cell. The
+    output is sorted and therefore independent of execution order. Cells
+    run seed-major, so consecutive cells share one generated workload, and
+    a ``jobs_file`` is read once and its job list shared by every cell. The
     output directory is checked for writability before any cell runs
     (``OSError`` otherwise), and each CSV is replaced atomically, so a
     failed sweep never leaves a truncated one. Returns the sorted rows and
@@ -246,9 +266,9 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRo
         cell_config = _SweepConfig(**vars(config), jobs=tuple(read_jobs_csv(config.jobs_file)))
     tasks = [
         (cell_config, algorithm, num_vms, seed)
+        for seed in range(config.base_seed, config.base_seed + config.reps)
         for algorithm in config.algorithms
         for num_vms in config.vm_counts
-        for seed in range(config.base_seed, config.base_seed + config.reps)
     ]
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costs ~15 ms per import; serial runs skip it

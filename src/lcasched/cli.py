@@ -150,12 +150,16 @@ def _workload_spec(args) -> WorkloadSpec:
 def _cmd_generate(args) -> int:
     if args.jobs_out is None and args.vms_out is None:
         raise ValueError("nothing to do: pass --jobs-out and/or --vms-out")
+    # validate both specs before writing either file
+    workload_spec = _workload_spec(args)
+    if args.vms_out is not None:
+        fleet_spec = FleetSpec(vm_count=args.num_vms, speed_choices=args.vm_speeds, seed=args.seed)
     if args.jobs_out is not None:
-        jobs = generate_workload(_workload_spec(args))
+        jobs = generate_workload(workload_spec)
         write_jobs_csv(jobs, args.jobs_out)
         print(f"wrote {len(jobs)} jobs to {args.jobs_out}")
     if args.vms_out is not None:
-        vms = generate_fleet(FleetSpec(vm_count=args.num_vms, speed_choices=args.vm_speeds, seed=args.seed))
+        vms = generate_fleet(fleet_spec)
         write_vms_csv(vms, args.vms_out)
         print(f"wrote {len(vms)} vms to {args.vms_out}")
     return 0

@@ -70,6 +70,8 @@ class WorkloadSpec:
             raise ValueError("need 0 < len_min <= len_max")
         if self.arrival_rate is not None and not 0.0 < self.arrival_rate < math.inf:
             raise ValueError(f"arrival_rate must be finite and positive when set, got {self.arrival_rate!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ class FleetSpec:
     def __post_init__(self):
         if self.vm_count < 1:
             raise ValueError("vm_count must be positive")
-        if not self.speed_choices or any(s <= 0.0 for s in self.speed_choices):
-            raise ValueError("speed_choices must be non-empty and positive")
+        if not self.speed_choices or not all(0.0 < s < math.inf for s in self.speed_choices):
+            raise ValueError(f"speed_choices must be non-empty, finite and positive, got {self.speed_choices!r}")
         if self.mode not in ("cycle", "sample"):
             raise ValueError(f"unknown fleet mode: {self.mode!r}")
 
@@ -99,8 +101,8 @@ def generate_workload(spec: WorkloadSpec) -> list[Job]:
     else:
         arrivals = np.cumsum(rng.exponential(1.0 / spec.arrival_rate, size=spec.job_count))
     return [
-        Job(id=i, arrival_time=float(arrivals[i]), length=int(lengths[i]))
-        for i in range(spec.job_count)
+        Job(id=i, arrival_time=arrival, length=length)
+        for i, (arrival, length) in enumerate(zip(arrivals.tolist(), lengths.tolist()))
     ]
 
 

@@ -132,17 +132,61 @@ def staggered_instances(draw):
     return jobs, [Vm(v, s) for v, s in enumerate(speeds)]
 
 
+@st.composite
+def batch_instances(draw):
+    """Batch arrivals on 1-300 VMs of one speed, lengths mostly from a few
+    values: many VMs are ready at the same time, so ties are frequent."""
+    num_jobs = draw(st.integers(1, 150))
+    ids = draw(st.permutations(range(num_jobs)))
+    length = st.one_of(st.sampled_from([10, 25, 40]), st.integers(1, 200))
+    lengths = draw(st.lists(length, min_size=num_jobs, max_size=num_jobs))
+    speed = draw(st.sampled_from([0.5, 1.0, 3.7]))
+    jobs = [Job(i, 0.0, n) for i, n in zip(ids, lengths)]
+    return jobs, [Vm(v, speed) for v in range(draw(st.integers(1, 300)))]
+
+
+def fcfs_order(jobs):
+    return sorted(range(len(jobs)), key=lambda p: (jobs[p].arrival_time, jobs[p].id))
+
+
+def ljf_order(jobs):
+    return sorted(range(len(jobs)), key=lambda p: (-jobs[p].length, jobs[p].id))
+
+
+def last_arrival_order(jobs):
+    return sorted(range(len(jobs)), key=lambda p: (-jobs[p].arrival_time, jobs[p].id))
+
+
+def ljf_last_arrival(jobs, vms):
+    return ljf_schedule(jobs, vms, mode="last-arrival")
+
+
 class TestDispatchDifferential:
     @settings(max_examples=150, deadline=None)
     @given(staggered_instances())
     def test_ljf_last_arrival_matches_reference(self, case):
         jobs, vms = case
-        order = sorted(range(len(jobs)), key=lambda p: (-jobs[p].arrival_time, jobs[p].id))
-        assert ljf_schedule(jobs, vms, mode="last-arrival").tolist() == reference_greedy(jobs, vms, order)
+        assert ljf_last_arrival(jobs, vms).tolist() == reference_greedy(jobs, vms, last_arrival_order(jobs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(staggered_instances())
+    def test_ljf_longest_matches_reference(self, case):
+        jobs, vms = case
+        assert ljf_schedule(jobs, vms).tolist() == reference_greedy(jobs, vms, ljf_order(jobs))
 
     @settings(max_examples=150, deadline=None)
     @given(staggered_instances())
     def test_fcfs_matches_reference(self, case):
         jobs, vms = case
-        order = sorted(range(len(jobs)), key=lambda p: (jobs[p].arrival_time, jobs[p].id))
-        assert fcfs_schedule(jobs, vms).tolist() == reference_greedy(jobs, vms, order)
+        assert fcfs_schedule(jobs, vms).tolist() == reference_greedy(jobs, vms, fcfs_order(jobs))
+
+    @pytest.mark.parametrize(
+        "scheduler,order",
+        [(fcfs_schedule, fcfs_order), (ljf_schedule, ljf_order), (ljf_last_arrival, last_arrival_order)],
+        ids=["fcfs", "ljf", "ljf-last-arrival"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(case=batch_instances())
+    def test_batch_equal_speeds_match_reference(self, scheduler, order, case):
+        jobs, vms = case
+        assert scheduler(jobs, vms).tolist() == reference_greedy(jobs, vms, order(jobs))

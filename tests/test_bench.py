@@ -100,6 +100,10 @@ class TestRunCell:
         with pytest.raises(ValueError):
             run_cell(tiny_config(), "spt", 2, seed=1)
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_cell(tiny_config(), "fcfs", 2, seed=-1)
+
 
 class TestRunSweep:
     def test_grid_shape_and_order(self, tmp_path):
@@ -172,6 +176,24 @@ class TestRunSweep:
         assert out.read_bytes().decode() == expected_rows.getvalue()
         assert summary_path_for(out).read_bytes().decode() == expected_summary.getvalue()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_generated_sweep_matches_cells_run_in_reverse(self, tmp_path, workers):
+        # Cells share a cached workload per seed; each cell, run on its own in
+        # the opposite order, must still give the row the sweep wrote.
+        config = tiny_config(reps=3, out=str(tmp_path / "sweep.csv"), workers=workers)
+        rows, _ = run_sweep(config)
+        cells = [
+            (algorithm, num_vms, seed)
+            for algorithm in config.algorithms
+            for num_vms in config.vm_counts
+            for seed in range(config.base_seed, config.base_seed + config.reps)
+        ]
+        expected = [run_cell(config, *cell) for cell in reversed(cells)]
+        assert rows == sorted(expected, key=ResultRow.sort_key)
+        # every seed scored its own workload, so FCFS rows differ across seeds
+        fcfs = {(r.num_vms, r.avg_completion) for r in rows if r.algorithm == "fcfs"}
+        assert len(fcfs) == len(config.vm_counts) * config.reps
+
     def test_summarize_groups_sorted(self):
         config = tiny_config(out="unused.csv")
         rows = [run_cell(config, alg, m, s) for alg in ("ljf", "fcfs") for m in (3, 2) for s in (1,)]
@@ -198,6 +220,11 @@ class TestConfigValidation:
             dict(num_jobs=0),
             dict(len_min=0),
             dict(workers=0),
+            dict(base_seed=-1),
+            dict(vm_speeds=()),
+            dict(vm_speeds=(0.0,)),
+            dict(vm_speeds=(np.inf,)),
+            dict(vm_speeds=(1000.0, np.nan)),
         ],
     )
     def test_invalid(self, kwargs):
@@ -305,6 +332,39 @@ class TestCli:
         rc = main(["run", "--algorithm", "lca", "--num-vms", "3", "--num-jobs", "20", flag, value, "--no-timing"])
         assert rc == 2
         assert f"error: {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["run", "--algorithm", "fcfs", "--num-vms", "3", "--no-timing"], "seed"),
+            (["sweep", "--vm-counts", "3", "--algorithms", "fcfs", "--reps", "1", "--out", "{tmp}/r.csv"], "base_seed"),
+            (["generate", "--jobs-out", "{tmp}/jobs.csv"], "seed"),
+            (["oracle", "--num-vms", "2"], "seed"),
+        ],
+    )
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, argv, field):
+        rc = main([arg.format(tmp=tmp_path) for arg in argv] + ["--num-jobs", "5", "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {field} must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("speeds", ["inf", "nan", "1000,nan"])
+    def test_non_finite_vm_speeds_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, speeds):
+        cells = []
+        monkeypatch.setattr(lcasched.bench, "run_cell", lambda *args: cells.append(args))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--num-jobs", "20", "--vm-counts", "2", "--reps", "1", "--algorithms", "fcfs"]
+        rc = main(argv + ["--vm-speeds", speeds, "--out", str(out)])
+        assert rc == 2
+        assert "error: vm_speeds must be non-empty, finite and positive" in capsys.readouterr().err
+        assert cells == [] and not out.exists()
+
+    def test_generate_non_finite_vm_speeds_exits_2_writing_nothing(self, tmp_path, capsys):
+        jobs_out, vms_out = tmp_path / "jobs.csv", tmp_path / "vms.csv"
+        rc = main(["generate", "--num-jobs", "5", "--vm-speeds", "nan", "--jobs-out", str(jobs_out), "--vms-out", str(vms_out)])
+        assert rc == 2
+        assert "error: speed_choices must be non-empty, finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_out_the_process_pool():

@@ -1,12 +1,13 @@
 """Refactor gate: a small fixed sweep must keep its CSVs byte for byte.
 
-Three ``run_sweep`` calls with ``no_timing=True`` cover batch arrivals at
+Four ``run_sweep`` calls with ``no_timing=True`` cover batch arrivals at
 60 jobs (all three algorithms), one batch LCA cell of 600 jobs under a
 mix of all three metric weights (which takes the ``rng.choice`` slot draw
-used from 512 slots up) and a staggered ``jobs_file`` trace with LJF
-``last-arrival``. The sha256 of each results
-and summary CSV is pinned, so a refactor that moves any random draw, float
-operation or CSV byte fails here.
+used from 512 slots up), a staggered ``jobs_file`` trace with LJF
+``last-arrival``, and FCFS and LJF on 5000 batch jobs at 10 and 130 VMs,
+where the earliest-ready dispatch breaks many ties. The sha256 of each
+results and summary CSV is pinned, so a refactor that moves any random
+draw, float operation or CSV byte fails here.
 
 A deliberate change to a random stream or to a result must update the
 digests below and log the change in ``CHANGES.md``.
@@ -39,6 +40,7 @@ SWEEPS = {
         weights=MetricWeights(makespan=0.5, completion=1.0, response=0.25),
     ),
     "trace": dict(vm_counts=(4,), reps=2, ljf_mode="last-arrival"),
+    "baselines5000": dict(num_jobs=5000, vm_counts=(10, 130), reps=2, algorithms=("fcfs", "ljf")),
 }
 
 # Recorded before the refactor that introduced this gate.
@@ -54,6 +56,11 @@ DIGESTS = {
     "trace": (
         "886ddf49b84ead5bda1eacfb52c182321a2081dac1575e72accfda20f4a64590",
         "da47f1f14cd947fa7473fc5cb759206325b19c2f264f3eca6d076c2b4dd0f071",
+    ),
+    # Recorded before the heap-ordered dispatch and the per-seed workload cache.
+    "baselines5000": (
+        "43f4fcc71608ff9046ff66bf368ca52e9420d8748fb0de894d1ccf3a03f89e32",
+        "dede10259f543bfef3d83d8de452b692392e5bdbf8080c1fe6881984ab369e55",
     ),
 }
 

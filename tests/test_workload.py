@@ -77,6 +77,14 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError, match="arrival_rate must be finite"):
             WorkloadSpec(job_count=5, arrival_rate=bad)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            WorkloadSpec(job_count=5, seed=-1)
+
+    def test_values_are_python_numbers(self):
+        jobs = generate_workload(WorkloadSpec(job_count=50, arrival_rate=2.0, seed=8))
+        assert all(type(j.arrival_time) is float and type(j.length) is int for j in jobs)
+
 
 class TestGenerateFleet:
     def test_uniform_single_choice(self):
@@ -113,6 +121,11 @@ class TestGenerateFleet:
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             FleetSpec(**kwargs)
+
+    @pytest.mark.parametrize("speeds", [(np.inf,), (np.nan,), (1000.0, np.nan), (-np.inf, 500.0)])
+    def test_speed_choices_must_be_finite_and_positive(self, speeds):
+        with pytest.raises(ValueError, match="speed_choices must be non-empty, finite and positive"):
+            FleetSpec(vm_count=3, speed_choices=speeds)
 
 
 class TestJobsCsv:
