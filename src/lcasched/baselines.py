@@ -24,11 +24,22 @@ __all__ = ["fcfs_schedule", "ljf_schedule", "LJF_MODES"]
 LJF_MODES = ("longest", "last-arrival")
 
 
-def _greedy_earliest_ready(jobs, vms, dispatch_order) -> np.ndarray:
+def _dispatch(jobs, vms, field: str, descending: bool) -> np.ndarray:
+    """Hand out jobs in order of ``field``, ties by id and then by position
+    (a stable lexsort), each to the VM that frees up earliest."""
+    if not jobs or not vms:
+        raise ValueError("jobs and vms must be non-empty")
+    keys = []
+    for name in ("id", field):
+        try:
+            keys.append(np.array([getattr(job, name) for job in jobs], float if name == "arrival_time" else np.int64))
+        except OverflowError:
+            raise ValueError(f"job {name} must fit a 64-bit integer to be sorted") from None
+    ids, values = keys
     speeds = [vm.speed for vm in vms]
     heap = [(0.0, vm) for vm in range(len(vms))]  # sorted, hence a valid heap
     assignment = [0] * len(jobs)
-    for position in dispatch_order:
+    for position in np.lexsort((ids, -values if descending else values)).tolist():
         job = jobs[position]
         ready, vm = heap[0]
         heapq.heapreplace(heap, (max(ready, job.arrival_time) + job.length / speeds[vm], vm))
@@ -36,16 +47,9 @@ def _greedy_earliest_ready(jobs, vms, dispatch_order) -> np.ndarray:
     return np.array(assignment, dtype=np.int64)
 
 
-def _check_inputs(jobs, vms):
-    if not jobs or not vms:
-        raise ValueError("jobs and vms must be non-empty")
-
-
 def fcfs_schedule(jobs: Sequence[Job], vms: Sequence[Vm]) -> np.ndarray:
     """First come first served: dispatch by (arrival_time, id)."""
-    _check_inputs(jobs, vms)
-    order = sorted(range(len(jobs)), key=lambda p: (jobs[p].arrival_time, jobs[p].id))
-    return _greedy_earliest_ready(jobs, vms, order)
+    return _dispatch(jobs, vms, "arrival_time", descending=False)
 
 
 def ljf_schedule(jobs: Sequence[Job], vms: Sequence[Vm], mode: str = "longest") -> np.ndarray:
@@ -53,11 +57,6 @@ def ljf_schedule(jobs: Sequence[Job], vms: Sequence[Vm], mode: str = "longest") 
 
     ``mode='last-arrival'`` dispatches by decreasing arrival time instead.
     """
-    _check_inputs(jobs, vms)
-    if mode == "longest":
-        order = sorted(range(len(jobs)), key=lambda p: (-jobs[p].length, jobs[p].id))
-    elif mode == "last-arrival":
-        order = sorted(range(len(jobs)), key=lambda p: (-jobs[p].arrival_time, jobs[p].id))
-    else:
+    if mode not in LJF_MODES:
         raise ValueError(f"unknown ljf mode: {mode!r}")
-    return _greedy_earliest_ready(jobs, vms, order)
+    return _dispatch(jobs, vms, "length" if mode == "longest" else "arrival_time", descending=True)

@@ -194,22 +194,19 @@ def play_week(
     must appear in exactly one match. One uniform draw is consumed per
     match, in fixture order.
     """
-    fitnesses = np.asarray(fitnesses, dtype=float)
-    num_teams = fitnesses.size
-    played = np.zeros(num_teams, dtype=bool)
-    won = np.zeros(num_teams, dtype=bool)
+    fitnesses = np.asarray(fitnesses, dtype=float).tolist()
+    won: list[bool | None] = [None] * len(fitnesses)  # None until the team has played
     for a, b in matches:
         if a == b:
             raise ValueError("a team cannot play itself")
-        if played[a] or played[b]:
+        if won[a] is not None or won[b] is not None:
             raise ValueError("a team appears in more than one match this week")
-        played[a] = played[b] = True
         a_wins = rng.random() < win_probability(fitnesses[a], fitnesses[b], ideal)
         won[a] = a_wins
         won[b] = not a_wins
-    if not played.all():
+    if None in won:
         raise ValueError("every team must play exactly once per week")
-    return won
+    return np.array(won, dtype=bool)
 
 
 def truncated_geometric(r, dimension: int, change_prob: float):
@@ -246,17 +243,21 @@ def change_count(rng: np.random.Generator, dimension: int, change_prob: float) -
     return int(truncated_geometric(rng.random(), dimension, change_prob))
 
 
-_PERMUTATION_DRAW_LIMIT = 512
-
-
-def _change_indices(rng: np.random.Generator, dimension: int, count: int) -> np.ndarray:
-    # rng.choice without replacement costs O(count) plus about 10 us of fixed
-    # overhead; a full permutation costs O(dimension), and the two cross
-    # between 450 and 512 slots (numpy 2.4: 4 us vs 12 at 9 slots, 22 vs 11
-    # at 1024, 108 vs 12 at 5000). Both draw uniformly without replacement.
-    if dimension < _PERMUTATION_DRAW_LIMIT:
-        return rng.permutation(dimension)[:count]
-    return rng.choice(dimension, count, replace=False)
+def _change_indices(rng: np.random.Generator, dimension: int, count: int) -> list[int]:
+    # Uniform subsets without replacement. Below 128 slots a permutation
+    # prefix, which keeps the stream of small problems; from 128 up Floyd's
+    # sampling (Bentley & Floyd, CACM 30(9), 1987): for j from dimension -
+    # count to dimension - 1, take t = floor(u * (j + 1)), or j if t is already
+    # chosen (u < 1 keeps t <= j in floats too). For 3 slots (numpy 2.4, 2-core
+    # x86): permutation 6 us at 128 slots, 13 at 500 and 94 at 5000; Floyd
+    # 3-4 us at any size; rng.choice, which it replaced from 512 up, 11 us.
+    if dimension < 128:
+        return rng.permutation(dimension)[:count].tolist()
+    chosen: dict[int, None] = {}  # insertion-ordered set
+    for j, u in zip(range(dimension - count, dimension), rng.random(count).tolist()):
+        t = int(u * (j + 1))
+        chosen[j if t in chosen else t] = None
+    return list(chosen)
 
 
 def swot_formation(
@@ -273,12 +274,12 @@ def swot_formation(
 ) -> np.ndarray:
     """Deterministic core of the weekly rebuild, anchored at ``best``.
 
-    The arguments hold the changed slots only. Two pulls act on them: one
-    relative to the team that just played our next rival (approach it if it
-    won, retreat if it lost) and one relative to this week's opponent
-    (retreat from it if we beat it, approach it if it beat us). The four
-    win/loss combinations cover the strength/weakness versus
-    opportunity/threat cases.
+    The arguments hold the changed slots only, or one slot's floats. Two
+    pulls act on them: one relative to the team that just played our next
+    rival (approach it if it won, retreat if it lost) and one relative to
+    this week's opponent (retreat from it if we beat it, approach it if it
+    beat us). The four win/loss combinations cover the strength/weakness
+    versus opportunity/threat cases.
     """
     if rival_opponent_won:
         rival_pull = approach_coeff * (rival_opponent_formation - current)
@@ -289,6 +290,26 @@ def swot_formation(
     else:
         opponent_pull = approach_coeff * (opponent_formation - current)
     return best + (gain_rival * rival_pull + gain_opponent * opponent_pull)
+
+
+def _draft(rng, params: LcaParams, dimension: int, won: bool, rival_opponent_won: bool, gather):
+    """Draw the change count, the slots and their gains, in that order, and
+    rebuild the slots, clamped as ``np.clip`` would: ``(slots, keys)``.
+    ``gather(slots)`` yields one tuple per slot: the team's best and current
+    keys there, its opponent's, its rival's opponent's, and the bounds."""
+    count = change_count(rng, dimension, params.change_prob)
+    slots = _change_indices(rng, dimension, count)
+    gain_rival, gain_opponent = rng.random((2, count)).tolist()
+    retreat, approach = params.retreat_coeff, params.approach_coeff
+    keys = []
+    for (best, current, opponent, rival_opponent, lo, hi), g_rival, g_opponent in zip(
+        gather(slots), gain_rival, gain_opponent
+    ):
+        x = swot_formation(
+            best, current, opponent, rival_opponent, won, rival_opponent_won, retreat, approach, g_rival, g_opponent
+        )
+        keys.append(lo if x < lo else hi if x > hi else x)
+    return slots, keys
 
 
 def swot_update(
@@ -305,33 +326,22 @@ def swot_update(
 
     Draw order: one quantile for the change count, then the changed slots,
     then a (2, count) gain block whose columns pair with the slots in draw
-    order. The slots are ``rng.choice(dimension, count, replace=False)``,
-    which costs O(count), or ``rng.permutation(dimension)[:count]`` below
-    512 slots, where that is cheaper. Changed slots are rebuilt by
-    ``swot_formation`` and clamped into the domain; unchanged slots carry
-    the team's best formation exactly.
+    order. Below 128 slots the slots are ``rng.permutation(dimension)[:count]``;
+    from 128 up Floyd's sampling picks them from one ``rng.random(count)``
+    draw in O(count). Changed slots are rebuilt by ``swot_formation`` and
+    clamped into the domain; unchanged slots carry the team's best
+    formation exactly. ``optimize`` drafts through the same draw.
     """
-    n = domain.dimension
-    for vec in (team.formation, team.best_formation, opponent_formation, rival_opponent_formation):
-        if np.asarray(vec).shape != (n,):
-            raise ValueError("formation length does not match the domain dimension")
-    count = change_count(rng, n, params.change_prob)
-    changed = _change_indices(rng, n, count)
-    gains = rng.random((2, count))
-    rebuilt = swot_formation(
-        team.best_formation[changed],
-        team.formation[changed],
-        opponent_formation[changed],
-        rival_opponent_formation[changed],
-        won,
-        rival_opponent_won,
-        params.retreat_coeff,
-        params.approach_coeff,
-        gains[0],
-        gains[1],
+    vectors = (team.best_formation, team.formation, opponent_formation, rival_opponent_formation)
+    if any(np.shape(vec) != (domain.dimension,) for vec in vectors):
+        raise ValueError("formation length does not match the domain dimension")
+    vectors += (domain.lower, domain.upper)
+    slots, keys = _draft(
+        rng, params, domain.dimension, won, rival_opponent_won,
+        lambda slots: zip(*(np.asarray(vec, dtype=float)[slots].tolist() for vec in vectors)),
     )
     new = team.best_formation.copy()
-    new[changed] = np.clip(rebuilt, domain.lower[changed], domain.upper[changed])
+    new[slots] = keys
     return new
 
 
@@ -363,14 +373,19 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     ``max_evaluations`` is spent, whichever comes first; a budget spent
     mid-week commits the drafts already scored.
 
+    A draft rebuilds a few drawn slots (see ``swot_update``), so the league
+    is sparse: dense personal bests, plus each team's last draft as slot
+    overrides when it did not become the team's best. Drafts read this
+    week's state at their slots; bests and overrides change at week end.
+
     If the objective's class defines ``delta_scorer(x)``, each team keeps
     the scorer it returns, anchored at the team's personal best: its
-    ``fitness`` is the objective at ``x``, ``draft(candidate, changed)``
-    scores a candidate whose components differ from the anchor only at the
-    indices ``changed`` (from ``np.flatnonzero(candidate != best)``), and
-    ``commit()`` moves the anchor to the last draft, which happens whenever
-    a draft becomes the team's best. The scorer must return exactly what
-    the objective would, so the run is the same either way. Every fitness,
+    ``fitness`` is the objective at ``x``, ``draft(slots, keys)`` scores the
+    anchor with ``keys[i]`` at slot ``slots[i]`` (the drawn slots in draw
+    order, never repeated; a key may equal the anchor's), and ``commit()``
+    moves the anchor to the last draft, which happens whenever a draft
+    becomes the team's best. The scorer must return exactly what the
+    objective would, so the run is the same either way. Every fitness,
     from either path, must be finite: a NaN or infinite value raises
     ``ValueError`` naming the evaluation.
     """
@@ -394,68 +409,58 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
             raise ValueError(f"objective returned {value} at evaluation {evaluations}")
         return value
 
-    teams = []
-    for i in range(league):
-        x = formations[i]
-        f = checked(scorers[i].fitness if scorers else objective(x))
-        teams.append(Team(formation=x, fitness=f, best_formation=x.copy(), best_fitness=f))
-    best_index = min(range(league), key=lambda i: teams[i].fitness)
-    ideal_fitness = teams[best_index].fitness
-    best_formation = teams[best_index].formation.copy()
+    fitness = [checked(scorers[i].fitness if scorers else objective(x)) for i, x in enumerate(formations)]
+    best_fitness = fitness.copy()
+    ideal_fitness = min(fitness)
+    best_formation = formations[fitness.index(ideal_fitness)].copy()
     history = [ideal_fitness]
+    bests = formations.copy()
+    best_rows = [memoryview(row) for row in bests]  # scalar reads as Python floats
+    overrides: list[dict[int, float]] = [{} for _ in range(league)]
+    lower, upper = domain.lower.tolist(), domain.upper.tolist()
+
+    def full(team: int, slots: list[int], keys: list[float]) -> np.ndarray:
+        x = bests[team].copy()
+        x[slots] = keys
+        return x
 
     schedule = generate_league_schedule(league)
-    opponents = schedule.opponents()
+    opponents = schedule.opponents().tolist()
     weeks_per_season = league - 1
-    total_weeks = params.seasons * weeks_per_season
 
-    for week in range(total_weeks):
+    for week in range(params.seasons * weeks_per_season):
         if budget is not None and evaluations >= budget:
             break
-        this_week = week % weeks_per_season
-        next_week = (week + 1) % weeks_per_season
-        fitnesses = np.array([t.fitness for t in teams])
-        won = play_week(schedule.weeks[this_week], fitnesses, ideal_fitness, rng)
-        # Drafts are built against this week's formations and committed together.
-        snapshot = [t.formation for t in teams]
-        drafts: list[tuple[np.ndarray, float]] = []
-        for i, team in enumerate(teams):
+        this_week = opponents[week % weeks_per_season]
+        next_week = opponents[(week + 1) % weeks_per_season]
+        won = play_week(schedule.weeks[week % weeks_per_season], fitness, ideal_fitness, rng).tolist()
+        drafts = []  # bests and overrides change at week end, once every draft has read them
+        for i in range(league):
             if budget is not None and evaluations >= budget:
                 break
-            rival = int(opponents[next_week, i])
-            rival_opponent = int(opponents[this_week, rival])
-            candidate = swot_update(
-                team,
-                snapshot[int(opponents[this_week, i])],
-                snapshot[rival_opponent],
-                bool(won[i]),
-                bool(won[rival_opponent]),
-                params,
-                domain,
-                rng,
-            )
-            if scorers:
-                changed = np.flatnonzero(candidate != team.best_formation)
-                f = checked(scorers[i].draft(candidate, changed))
-            else:
-                f = checked(objective(candidate))
-            drafts.append((candidate, f))
-            if f < team.best_fitness:
-                team.best_formation = candidate.copy()
-                team.best_fitness = f
+            opponent, rival_opponent = this_week[i], this_week[next_week[i]]
+            best, own = best_rows[i], overrides[i]
+            row_o, over_o = best_rows[opponent], overrides[opponent]
+            row_r, over_r = best_rows[rival_opponent], overrides[rival_opponent]
+            slots, keys = _draft(rng, params, n, won[i], won[rival_opponent], lambda slots: (
+                (best[s], own.get(s, best[s]), over_o.get(s, row_o[s]), over_r.get(s, row_r[s]), lower[s], upper[s])
+                for s in slots
+            ))
+            candidate = None if scorers else full(i, slots, keys)
+            f = checked(scorers[i].draft(slots, keys) if scorers else objective(candidate))
+            if improved := f < best_fitness[i]:
+                best_fitness[i] = f
                 if scorers:
                     scorers[i].commit()
             if f < ideal_fitness:
                 ideal_fitness = f
-                best_formation = candidate.copy()
-        for team, (x, f) in zip(teams, drafts):
-            team.formation = x
-            team.fitness = f
+                best_formation = full(i, slots, keys) if candidate is None else candidate
+            drafts.append((i, slots, keys, f, improved))
+        for i, slots, keys, f, improved in drafts:
+            fitness[i] = f
+            overrides[i] = {} if improved else dict(zip(slots, keys))
+            if improved:
+                bests[i, slots] = keys
         history.append(ideal_fitness)
 
-    return OptimizeResult(
-        best_formation=best_formation,
-        best_fitness=ideal_fitness,
-        history=history,
-        evaluations=evaluations,
-    )
+    return OptimizeResult(best_formation, ideal_fitness, history, evaluations)

@@ -164,23 +164,18 @@ class _BatchObjective:
 
 
 class _KeyDrafts:
-    """Random-key face of a ``BatchDraft``: decodes only the changed keys."""
+    """Random-key face of a ``BatchDraft``: decodes only the drafted keys."""
 
     def __init__(self, anchor, num_vms: int):
-        self._anchor = anchor
-        self._top = num_vms - 1
-        self.commit = anchor.commit
+        self._anchor, self._top, self.commit = anchor, num_vms - 1, anchor.commit
 
     @property
     def fitness(self) -> float:
         return self._anchor.fitness
 
-    def draft(self, x: np.ndarray, changed: np.ndarray) -> float:
-        """Score formation ``x``, whose keys differ from the anchor's only at ``changed``."""
+    def draft(self, slots: list[int], keys: list[float]) -> float:
+        """Score the anchor with key ``keys[i]`` at slot ``slots[i]``; slots must not repeat."""
+        if not all(map(math.isfinite, keys)):
+            raise ValueError("keys must be finite")
         top = self._top
-        vms = []
-        for key in x[changed].tolist():
-            if not math.isfinite(key):
-                raise ValueError("keys must be finite")
-            vms.append(min(max(math.floor(key), 0), top))
-        return self._anchor.draft(changed.tolist(), vms)
+        return self._anchor.draft(slots, [min(max(math.floor(key), 0), top) for key in keys])

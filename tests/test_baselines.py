@@ -190,3 +190,27 @@ class TestDispatchDifferential:
     def test_batch_equal_speeds_match_reference(self, scheduler, order, case):
         jobs, vms = case
         assert scheduler(jobs, vms).tolist() == reference_greedy(jobs, vms, order(jobs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_repeated_ids_and_wide_lengths_keep_the_keyed_order(self, data):
+        # ties on (key, id) fall back to list position, as in a stable keyed sort
+        num_jobs = data.draw(st.integers(1, 30))
+        column = lambda values: data.draw(st.lists(values, min_size=num_jobs, max_size=num_jobs))
+        ids = column(st.integers(0, 3))
+        arrivals = column(st.sampled_from([0.0, 1.0, 2.5]))
+        lengths = column(st.sampled_from([1, 7, 2**62, 2**63 - 1]))
+        speeds = data.draw(st.lists(st.sampled_from([0.5, 1.0, 3.7]), min_size=1, max_size=4))
+        jobs = [Job(i, a, n) for i, a, n in zip(ids, arrivals, lengths)]
+        vms = [Vm(v, s) for v, s in enumerate(speeds)]
+        assert fcfs_schedule(jobs, vms).tolist() == reference_greedy(jobs, vms, fcfs_order(jobs))
+        assert ljf_schedule(jobs, vms).tolist() == reference_greedy(jobs, vms, ljf_order(jobs))
+        assert ljf_last_arrival(jobs, vms).tolist() == reference_greedy(jobs, vms, last_arrival_order(jobs))
+
+    def test_keys_beyond_int64_fail_naming_the_field(self):
+        vms = [Vm(0, 1.0)]
+        with pytest.raises(ValueError, match="job length must fit a 64-bit integer"):
+            ljf_schedule([Job(0, 0.0, 2**63), Job(1, 0.0, 3)], vms)
+        for scheduler in (fcfs_schedule, ljf_schedule, ljf_last_arrival):
+            with pytest.raises(ValueError, match="job id must fit a 64-bit integer"):
+                scheduler([Job(2**63, 0.0, 5), Job(1, 0.0, 3)], vms)

@@ -16,6 +16,7 @@ from lcasched import (
     truncated_geometric,
     win_probability,
 )
+from lcasched.lca import _change_indices
 
 # Gaps and shifts are kept well clear of the last few ulps so the 1e-12
 # tolerances below are meaningful rather than vacuous.
@@ -148,6 +149,15 @@ class TestChangeCount:
         assert 1 in counts
 
 
+def floyd_sample(rng, dimension, count):
+    """Floyd's sampling from one ``rng.random(count)`` draw, in draw order."""
+    slots = []
+    for j, u in zip(range(dimension - count, dimension), rng.random(count)):
+        t = int(u * (j + 1))
+        slots.append(j if t in slots else t)
+    return slots
+
+
 def changed_slots(dimension, change_prob, calls):
     """For each of ``calls`` successive ``swot_update`` calls, the slots it
     changes and the change count that a mirror of its first draw gives.
@@ -186,6 +196,34 @@ class TestChangedSlots:
             changes += count
         # each slot is changed with probability E[count] / 5
         assert np.all(np.abs(hits / trials - changes / (5 * trials)) < 0.01)
+
+    # From 128 slots up the slots come from Floyd's sampling. At change_prob
+    # 0.01 on 200 slots a draw changes about 70 of them, so the uniformity
+    # check below is far from vacuous, and collisions are common.
+    def test_popcount_above_floyd_threshold(self):
+        for mask, count in changed_slots(200, 0.01, 300):
+            assert mask.sum() == count
+
+    def test_slots_never_repeat_above_floyd_threshold(self):
+        rng = np.random.default_rng(8)
+        for count in (1, 2, 50, 199, 200):
+            for _ in range(50):
+                mirror = np.random.default_rng()
+                mirror.bit_generator.state = rng.bit_generator.state
+                slots = _change_indices(rng, 200, count)
+                assert len(set(slots)) == len(slots) == count
+                assert all(0 <= s < 200 for s in slots)
+                assert slots == floyd_sample(mirror, 200, count)
+
+    def test_uniform_selection_above_floyd_threshold(self):
+        trials = 20_000
+        hits = np.zeros(200)
+        changes = 0
+        for mask, count in changed_slots(200, 0.01, trials):
+            hits += mask
+            changes += count
+        assert changes / trials > 50
+        assert np.all(np.abs(hits / trials - changes / (200 * trials)) < 0.01)
 
 
 class TestSwotUpdate:
@@ -280,11 +318,11 @@ class TestSwotUpdate:
         # swot_update rebuilds only the changed slots; scattering the same
         # draws into full-length vectors and applying the formula everywhere
         # must give the identical result. Dimension 9 draws its slots with a
-        # permutation, dimension 600 (512 or more) with rng.choice.
+        # permutation, dimension 600 (128 or more) with Floyd's sampling.
         setup_rng = np.random.default_rng(55)
         for dimension, trials, draw_slots in (
             (9, 200, lambda mirror, count: mirror.permutation(9)[:count]),
-            (600, 100, lambda mirror, count: mirror.choice(600, count, replace=False)),
+            (600, 100, lambda mirror, count: floyd_sample(mirror, 600, count)),
         ):
             domain = BoxDomain.cube(dimension, -3.0, 3.0)
             params = LcaParams(league_size=4, seasons=1, change_prob=0.3, seed=0)

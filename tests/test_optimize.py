@@ -166,7 +166,7 @@ def assert_same_result(first, second):
         (40, 1, MetricWeights(), 0),
         (60, 3, MetricWeights(1.0, 1.0, 1.0), 1),
         (120, 270, MetricWeights(0.5, 0.0, 2.0), 2),
-        (600, 20, MetricWeights(), 3),  # 512 slots or more: drawn by rng.choice
+        (600, 20, MetricWeights(), 3),  # 128 slots or more: drawn by Floyd's sampling
         (500, 130, MetricWeights(makespan=1.0, completion=0.0, response=0.0), 4),
     ],
 )
@@ -203,6 +203,60 @@ def test_delta_scored_run_equals_plain_run_fuzzed(num_jobs, num_vms, seed, wide)
     assert_same_result(optimize(objective, domain, params), optimize(lambda x: objective(x), domain, params))
 
 
+class BoxCheckedObjective:
+    """A batch objective that asserts every formation it scores lies in ``domain``.
+
+    Full vectors are checked on a call; drafts are checked slot by slot
+    against that slot's own bounds, and drafted keys that sit on a bound
+    are counted, to show that clamping took place.
+    """
+
+    def __init__(self, objective, domain):
+        self.objective, self.domain = objective, domain
+        self.keys_on_bound = 0
+
+    def __call__(self, x):
+        assert self.domain.contains(x)
+        return self.objective(x)
+
+    def delta_scorer(self, x):
+        assert self.domain.contains(x)
+        inner = self.objective.delta_scorer(x)
+        outer = self
+
+        class Drafts:
+            fitness = inner.fitness
+            commit = inner.commit
+
+            def draft(self, slots, keys):
+                lower, upper = outer.domain.lower[slots], outer.domain.upper[slots]
+                assert np.all(lower <= keys) and np.all(keys <= upper)
+                outer.keys_on_bound += int(np.sum((keys == lower) | (keys == upper)))
+                return inner.draft(slots, keys)
+
+        return Drafts()
+
+
+@pytest.mark.parametrize("num_jobs", [50, 300])  # below and above the 128-slot Floyd threshold
+def test_per_slot_bounds_hold_and_delta_equals_plain(num_jobs):
+    num_vms = 7
+    rng = np.random.default_rng(num_jobs)
+    # bounds differ per slot: a clamp against another slot's bound leaves the box
+    lower = -rng.uniform(0.0, 4.0, num_jobs)
+    upper = num_vms * rng.uniform(0.3, 1.5, num_jobs)
+    domain = BoxDomain(lower, upper)
+    objective = BoxCheckedObjective(
+        make_objective(generate_workload(WorkloadSpec(job_count=num_jobs, seed=5)), generate_fleet(FleetSpec(num_vms))),
+        domain,
+    )
+    params = LcaParams(league_size=6, seasons=30, retreat_coeff=3.0, approach_coeff=2.0, seed=1, max_evaluations=500)
+    delta = optimize(objective, domain, params)
+    assert objective.keys_on_bound > 0
+    plain = optimize(lambda x: objective(x), domain, params)
+    assert_same_result(delta, plain)
+    assert domain.contains(delta.best_formation)
+
+
 def test_staggered_objective_has_no_delta_hook():
     jobs = generate_workload(WorkloadSpec(job_count=30, arrival_rate=2.0, seed=1))
     objective = make_objective(jobs, generate_fleet(FleetSpec(vm_count=3)))
@@ -225,14 +279,17 @@ class TestNonFiniteFitness:
     def test_delta_scores_are_checked_too(self, bad_draft):
         class Drafts:
             def __init__(self, x):
+                self.anchor = self.last = x.copy()
                 self.fitness = sphere(x)
 
-            def draft(self, x, changed):
+            def draft(self, slots, keys):
                 Objective.drafts += 1
-                return np.inf if Objective.drafts == bad_draft else sphere(x)
+                self.last = self.anchor.copy()
+                self.last[slots] = keys
+                return np.inf if Objective.drafts == bad_draft else sphere(self.last)
 
             def commit(self):
-                pass
+                self.anchor = self.last
 
         class Objective:
             drafts = 0

@@ -2,8 +2,8 @@
 
 Four ``run_sweep`` calls with ``no_timing=True`` cover batch arrivals at
 60 jobs (all three algorithms), one batch LCA cell of 600 jobs under a
-mix of all three metric weights (which takes the ``rng.choice`` slot draw
-used from 512 slots up), a staggered ``jobs_file`` trace with LJF
+mix of all three metric weights (which takes the Floyd slot draw used
+from 128 slots up), a staggered ``jobs_file`` trace with LJF
 ``last-arrival``, and FCFS and LJF on 5000 batch jobs at 10 and 130 VMs,
 where the earliest-ready dispatch breaks many ties. The sha256 of each
 results and summary CSV is pinned, so a refactor that moves any random
@@ -49,9 +49,11 @@ DIGESTS = {
         "bd5a7262feed21858aab84f9a30ae2bb293ab784e5c3f5fcb270b477c82d2614",
         "f68ccbc7a1c34376415795b20ed7f6eb555fccccf6e6c94b95f25952f444364d",
     ),
+    # Re-recorded when slots from 128 up came to be drawn by Floyd's
+    # sampling instead of rng.choice: a logged random-stream change.
     "batch600": (
-        "2517a18ffce7499c98a7976d7969ffc45019237fcc6aab5e5e906838810911f0",
-        "22f9c3d4ef7a6608c602fac89b83ad0bb38dfd66bf552ae974151c68228b740d",
+        "2582f8f2ab3c613b07dea76e98cc4e1d5009cf9cfbc6b3512a22d74d8cf2277c",
+        "06844d8be80176e1f454cf95fb1c9f525d28eeb570fea239a043ba30b8f2e8bd",
     ),
     "trace": (
         "886ddf49b84ead5bda1eacfb52c182321a2081dac1575e72accfda20f4a64590",
