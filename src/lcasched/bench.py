@@ -3,15 +3,18 @@
 A cell rebuilds its workload and fleet from the cell seed (three
 sub-streams split off with ``numpy.random.SeedSequence``: workload, fleet,
 optimizer), so every algorithm sees identical inputs for the same seed and
-the whole sweep is reproducible. A sweep runs its cells seed-major (seed,
-then algorithm, then VM count), and a process keeps the last generated
-workload, so each seed's jobs are generated once per process rather than
-once per cell; only the first cell of a seed counts that generation in
-its ``wall_ms``. Rows are always written sorted by (algorithm, num_vms,
-seed) no matter how cells were executed, and all floats are serialized
-with full round-trip precision, so the results CSV is byte-identical
-across runs and worker counts once ``no_timing`` zeroes the wall-clock
-column.
+the whole sweep is reproducible. A process keeps the jobs of the last
+source a cell asked for, a jobs file's path or a generated workload's
+spec, until a cell asks for another one. A sweep runs its cells
+seed-major (seed, then algorithm, then VM count), so each seed's jobs are
+generated once per process rather than once per cell; only the first
+cell of a seed counts that generation in its ``wall_ms``. A sweep over a
+jobs file reads it afresh once, before any cell, and forked workers
+inherit the parsed jobs. Rows are always written sorted by (algorithm,
+num_vms, seed) no matter how cells were executed, and all floats are
+serialized with full round-trip precision, so the results CSV is
+byte-identical across runs and worker counts once ``no_timing`` zeroes
+the wall-clock column.
 """
 
 from __future__ import annotations
@@ -160,39 +163,30 @@ SUMMARY_CSV_HEADER = tuple(f.name for f in fields(SummaryRow))
 _SUMMARY_METRICS = tuple(name.removeprefix("mean_") for name in SUMMARY_CSV_HEADER if name.startswith("mean_"))
 
 
-@dataclass(frozen=True)
-class _SweepConfig(ExperimentConfig):
-    """A sweep's config plus the jobs parsed from its ``jobs_file``, so that
-    every cell of the sweep, in this process or a worker, shares one read."""
-
-    jobs: tuple[Job, ...] = ()
-
-
 @functools.lru_cache(maxsize=1)
-def _generated_jobs(spec: WorkloadSpec) -> tuple[Job, ...]:
-    """The spec's workload, kept until a cell asks for another one; a
-    seed-major sweep therefore generates each seed's jobs once."""
-    return tuple(generate_workload(spec))
+def _jobs(source: str | WorkloadSpec) -> tuple[Job, ...]:
+    """The jobs of a jobs-file path or a workload spec, kept until another
+    source is asked for or a sweep over a jobs file starts."""
+    if isinstance(source, WorkloadSpec):
+        return tuple(generate_workload(source))
+    return tuple(read_jobs_csv(source))
 
 
 def _cell_inputs(config: ExperimentConfig, num_vms: int, seed: int):
     workload_seed, fleet_seed, optimizer_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64)
     )
-    if isinstance(config, _SweepConfig):
-        jobs = config.jobs
-    elif config.jobs_file is not None:
-        jobs = read_jobs_csv(config.jobs_file)
-    else:
-        jobs = _generated_jobs(
-            WorkloadSpec(
-                job_count=config.num_jobs,
-                len_min=config.len_min,
-                len_max=config.len_max,
-                arrival_rate=config.arrival_rate,
-                seed=workload_seed,
-            )
+    jobs = _jobs(
+        config.jobs_file
+        if config.jobs_file is not None
+        else WorkloadSpec(
+            job_count=config.num_jobs,
+            len_min=config.len_min,
+            len_max=config.len_max,
+            arrival_rate=config.arrival_rate,
+            seed=workload_seed,
         )
+    )
     vms = generate_fleet(
         FleetSpec(
             vm_count=num_vms,
@@ -208,7 +202,9 @@ def run_cell(config: ExperimentConfig, algorithm: str, num_vms: int, seed: int) 
     """Build the cell's instance, schedule it, and score the result.
 
     Deterministic per (config, seed) apart from ``wall_ms``, which
-    ``config.no_timing`` pins to zero.
+    ``config.no_timing`` pins to zero. A ``config.jobs_file`` is read once
+    per process and its jobs reused until a sweep starts or a cell asks
+    for another source, so a file rewritten in between is not reread.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
@@ -244,28 +240,25 @@ def run_cell(config: ExperimentConfig, algorithm: str, num_vms: int, seed: int) 
     )
 
 
-def _run_cell_task(args):
-    return run_cell(*args)
-
-
 def run_sweep(config: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRow]]:
     """Run the full algorithms x vm_counts x reps grid and write both CSVs.
 
     Cells are independent and may run in parallel (``config.workers``); the
     output is sorted and therefore independent of execution order. Cells
     run seed-major, so consecutive cells share one generated workload, and
-    a ``jobs_file`` is read once and its job list shared by every cell. The
+    a ``jobs_file`` is read afresh once, before any cell, so a bad trace
+    fails early and every cell, forked workers included, shares it. The
     output directory is checked for writability before any cell runs
     (``OSError`` otherwise), and each CSV is replaced atomically, so a
     failed sweep never leaves a truncated one. Returns the sorted rows and
     the per-(algorithm, vm count) summary.
     """
     _check_writable(Path(config.out).parent)
-    cell_config = config
     if config.jobs_file is not None:
-        cell_config = _SweepConfig(**vars(config), jobs=tuple(read_jobs_csv(config.jobs_file)))
+        _jobs.cache_clear()
+        _jobs(config.jobs_file)
     tasks = [
-        (cell_config, algorithm, num_vms, seed)
+        (config, algorithm, num_vms, seed)
         for seed in range(config.base_seed, config.base_seed + config.reps)
         for algorithm in config.algorithms
         for num_vms in config.vm_counts
@@ -274,9 +267,9 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRo
         from concurrent.futures import ProcessPoolExecutor  # costs ~15 ms per import; serial runs skip it
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_run_cell_task, tasks))
+            rows = list(pool.map(run_cell, *zip(*tasks)))
     else:
-        rows = [_run_cell_task(task) for task in tasks]
+        rows = list(map(run_cell, *zip(*tasks)))
     rows.sort(key=ResultRow.sort_key)
     summary = summarize(rows)
     write_results_csv(rows, config.out)

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``generate`` writes workload/fleet CSVs, ``run`` scores a
+Subcommands: ``generate`` writes a jobs CSV trace, ``run`` scores a
 single (algorithm, VM count, seed) cell, ``sweep`` runs the full benchmark
 grid, and ``oracle`` brute-forces a tiny instance. Exit codes: 0 on
 success, 2 for an invalid configuration, 3 for an I/O failure.
@@ -34,7 +34,6 @@ from .workload import (
     generate_workload,
     read_jobs_csv,
     write_jobs_csv,
-    write_vms_csv,
 )
 
 
@@ -148,20 +147,9 @@ def _workload_spec(args) -> WorkloadSpec:
 
 
 def _cmd_generate(args) -> int:
-    if args.jobs_out is None and args.vms_out is None:
-        raise ValueError("nothing to do: pass --jobs-out and/or --vms-out")
-    # validate both specs before writing either file
-    workload_spec = _workload_spec(args)
-    if args.vms_out is not None:
-        fleet_spec = FleetSpec(vm_count=args.num_vms, speed_choices=args.vm_speeds, seed=args.seed)
-    if args.jobs_out is not None:
-        jobs = generate_workload(workload_spec)
-        write_jobs_csv(jobs, args.jobs_out)
-        print(f"wrote {len(jobs)} jobs to {args.jobs_out}")
-    if args.vms_out is not None:
-        vms = generate_fleet(fleet_spec)
-        write_vms_csv(vms, args.vms_out)
-        print(f"wrote {len(vms)} vms to {args.vms_out}")
+    jobs = generate_workload(_workload_spec(args))
+    write_jobs_csv(jobs, args.jobs_out)
+    print(f"wrote {len(jobs)} jobs to {args.jobs_out}")
     return 0
 
 
@@ -215,13 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    generate = commands.add_parser("generate", help="write workload and/or fleet CSVs")
+    generate = commands.add_parser("generate", help="write a jobs CSV trace")
     _add_workload_options(generate)
-    _add_fleet_options(generate)
-    generate.add_argument("--num-vms", type=int, default=10, help="fleet size for --vms-out")
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--jobs-out", help="path for the jobs CSV")
-    generate.add_argument("--vms-out", help="path for the VMs CSV")
+    generate.add_argument("--jobs-out", required=True, help="path for the jobs CSV")
     generate.set_defaults(func=_cmd_generate)
 
     run = commands.add_parser("run", help="run one (algorithm, vm count, seed) cell")

@@ -69,9 +69,6 @@ class BoxDomain:
     def dimension(self) -> int:
         return self.lower.size
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
-
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
@@ -85,8 +82,8 @@ class LcaParams:
     schedule. ``change_prob`` steers how many formation slots are rebuilt
     per week (geometric, truncated to the dimension). ``retreat_coeff``
     scales moves away from losers, ``approach_coeff`` moves toward winners.
-    ``max_evaluations`` caps objective calls; the run stops early once it
-    is spent.
+    ``max_evaluations`` caps objective calls, at least one per team; the
+    run stops early once it is spent.
     """
 
     league_size: int = 20
@@ -111,8 +108,8 @@ class LcaParams:
             raise ValueError("retreat_coeff and approach_coeff must not both be zero")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be positive when set")
+        if self.max_evaluations is not None and self.max_evaluations < self.league_size:
+            raise ValueError(f"max_evaluations must be at least league_size ({self.league_size}), got {self.max_evaluations}")
 
 
 @dataclass(eq=False)
@@ -392,8 +389,6 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     league = params.league_size
     n = domain.dimension
     budget = params.max_evaluations
-    if budget is not None and budget < league:
-        raise ValueError("max_evaluations must allow one evaluation per team")
 
     rng = np.random.default_rng(params.seed)
     formations = rng.uniform(domain.lower, domain.upper, size=(league, n))

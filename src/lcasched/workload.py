@@ -1,18 +1,20 @@
-"""Synthetic workloads, VM fleets, and the CSV trace format.
+"""Synthetic workloads, VM fleets, and the jobs CSV trace format.
 
 Generation is a pure function of the spec (numpy PCG64 seeded from
 ``spec.seed``), so the same spec always yields the same trace on any
 platform. Job lengths are uniform integers on [len_min, len_max] MI;
 arrivals are either all zero (batch submission) or a Poisson process.
 Fleet speeds come from a finite choice list, cycled in id order by
-default or sampled uniformly.
+default or sampled uniformly. A fleet is a pure function of its spec, so
+it has no file format.
 
-CSV schemas: jobs files carry ``job_id,arrival_time,length_mi`` and VM
-files carry ``vm_id,mips``, UTF-8 with ``.`` decimals.
+CSV schema: jobs files carry ``job_id,arrival_time,length_mi``, UTF-8
+with ``.`` decimals.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -32,8 +34,6 @@ __all__ = [
     "generate_fleet",
     "read_jobs_csv",
     "write_jobs_csv",
-    "read_vms_csv",
-    "write_vms_csv",
 ]
 
 DEFAULT_LEN_MIN = 1000
@@ -41,7 +41,6 @@ DEFAULT_LEN_MAX = 20000
 DEFAULT_SPEED_CHOICES = (500.0, 1000.0, 1500.0, 2000.0, 2500.0)
 
 JOBS_CSV_HEADER = ("job_id", "arrival_time", "length_mi")
-VMS_CSV_HEADER = ("vm_id", "mips")
 
 
 class CsvFormatError(ValueError):
@@ -116,51 +115,40 @@ def generate_fleet(spec: FleetSpec) -> list[Vm]:
     return [Vm(id=i, speed=float(speeds[i])) for i in range(spec.vm_count)]
 
 
-def _open_for_read(source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "r", encoding="utf-8", newline=""), True
-
-
-def _parse_rows(source, header: tuple[str, ...]):
-    handle, owned = _open_for_read(source)
-    try:
+def read_jobs_csv(source) -> list[Job]:
+    """Parse a jobs trace, holding at least one job, from a path or open text file."""
+    owned = not hasattr(source, "read")
+    jobs: list[Job] = []
+    seen: set[int] = set()
+    with open(source, "r", encoding="utf-8", newline="") if owned else contextlib.nullcontext(source) as handle:
         reader = csv.reader(handle)
         try:
             first = next(reader)
         except StopIteration:
-            raise CsvFormatError(f"line 1: missing header {','.join(header)}") from None
-        if tuple(field.strip() for field in first) != header:
-            raise CsvFormatError(f"line 1: expected header {','.join(header)}")
+            raise CsvFormatError(f"line 1: missing header {','.join(JOBS_CSV_HEADER)}") from None
+        if tuple(field.strip() for field in first) != JOBS_CSV_HEADER:
+            raise CsvFormatError(f"line 1: expected header {','.join(JOBS_CSV_HEADER)}")
         for row in reader:
             if not row:
                 continue
-            yield reader.line_num, row
-    finally:
-        if owned:
-            handle.close()
-
-
-def read_jobs_csv(source) -> list[Job]:
-    """Parse a jobs trace from a path or open text file."""
-    jobs: list[Job] = []
-    seen: set[int] = set()
-    for line_num, row in _parse_rows(source, JOBS_CSV_HEADER):
-        if len(row) != 3:
-            raise CsvFormatError(f"line {line_num}: expected 3 fields, got {len(row)}")
-        try:
-            job_id = int(row[0])
-            arrival = float(row[1])
-            length = int(row[2])
-        except ValueError:
-            raise CsvFormatError(f"line {line_num}: non-numeric field") from None
-        if job_id in seen:
-            raise CsvFormatError(f"line {line_num}: duplicate job_id {job_id}")
-        seen.add(job_id)
-        try:
-            jobs.append(Job(id=job_id, arrival_time=arrival, length=length))
-        except ValueError as exc:
-            raise CsvFormatError(f"line {line_num}: {exc}") from None
+            line_num = reader.line_num
+            if len(row) != 3:
+                raise CsvFormatError(f"line {line_num}: expected 3 fields, got {len(row)}")
+            try:
+                job_id = int(row[0])
+                arrival = float(row[1])
+                length = int(row[2])
+            except ValueError:
+                raise CsvFormatError(f"line {line_num}: non-numeric field") from None
+            if job_id in seen:
+                raise CsvFormatError(f"line {line_num}: duplicate job_id {job_id}")
+            seen.add(job_id)
+            try:
+                jobs.append(Job(id=job_id, arrival_time=arrival, length=length))
+            except ValueError as exc:
+                raise CsvFormatError(f"line {line_num}: {exc}") from None
+    if not jobs:
+        raise CsvFormatError("line 1: no jobs after the header")
     return jobs
 
 
@@ -168,32 +156,6 @@ def write_jobs_csv(jobs: Sequence[Job], sink) -> None:
     """Write jobs in id order; floats keep full round-trip precision."""
     rows = [[job.id, repr(job.arrival_time), job.length] for job in sorted(jobs, key=lambda j: j.id)]
     _write_csv(JOBS_CSV_HEADER, rows, sink)
-
-
-def read_vms_csv(source) -> list[Vm]:
-    """Parse a VM fleet from a path or open text file."""
-    vms: list[Vm] = []
-    seen: set[int] = set()
-    for line_num, row in _parse_rows(source, VMS_CSV_HEADER):
-        if len(row) != 2:
-            raise CsvFormatError(f"line {line_num}: expected 2 fields, got {len(row)}")
-        try:
-            vm_id = int(row[0])
-            speed = float(row[1])
-        except ValueError:
-            raise CsvFormatError(f"line {line_num}: non-numeric field") from None
-        if vm_id in seen:
-            raise CsvFormatError(f"line {line_num}: duplicate vm_id {vm_id}")
-        seen.add(vm_id)
-        try:
-            vms.append(Vm(id=vm_id, speed=speed))
-        except ValueError as exc:
-            raise CsvFormatError(f"line {line_num}: {exc}") from None
-    return vms
-
-
-def write_vms_csv(vms: Sequence[Vm], sink) -> None:
-    _write_csv(VMS_CSV_HEADER, [[vm.id, repr(vm.speed)] for vm in sorted(vms, key=lambda v: v.id)], sink)
 
 
 def _write_csv(header, rows, sink) -> None:

@@ -147,7 +147,8 @@ class TestRunSweep:
         config = tiny_config(
             jobs_file=str(jobs_file), ljf_mode="last-arrival", out=str(out), workers=workers
         )
-        # Reference: every cell run on its own, each reading the trace itself.
+        # Reference: every cell run on its own; they share one cached read of
+        # the trace, which the sweep then clears and reads afresh.
         rows = sorted(
             (
                 run_cell(config, algorithm, num_vms, seed)
@@ -173,6 +174,38 @@ class TestRunSweep:
         monkeypatch.setattr(lcasched.bench, "read_jobs_csv", read_then_remove)
         run_sweep(config)
         assert reads == [str(jobs_file)]
+        assert out.read_bytes().decode() == expected_rows.getvalue()
+        assert summary_path_for(out).read_bytes().decode() == expected_summary.getvalue()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rewritten_jobs_file_is_read_afresh_by_the_next_sweep(self, tmp_path, workers):
+        trace_a = generate_workload(WorkloadSpec(job_count=20, arrival_rate=2.0, seed=4))
+        trace_b = generate_workload(WorkloadSpec(job_count=20, arrival_rate=2.0, seed=5))
+        reference_file = tmp_path / "b.csv"
+        write_jobs_csv(trace_b, reference_file)
+        reference = tiny_config(jobs_file=str(reference_file), out=str(tmp_path / "reference.csv"))
+        rows = sorted(
+            (
+                run_cell(reference, algorithm, num_vms, seed)
+                for algorithm in reference.algorithms
+                for num_vms in reference.vm_counts
+                for seed in range(reference.base_seed, reference.base_seed + reference.reps)
+            ),
+            key=ResultRow.sort_key,
+        )
+        expected_rows, expected_summary = io.StringIO(), io.StringIO()
+        write_results_csv(rows, expected_rows)
+        write_summary_csv(summarize(rows), expected_summary)
+
+        jobs_file = tmp_path / "jobs.csv"
+        out = tmp_path / "sweep.csv"
+        config = tiny_config(jobs_file=str(jobs_file), out=str(out), workers=workers)
+        write_jobs_csv(trace_a, jobs_file)
+        run_sweep(config)
+        first = out.read_bytes()
+        write_jobs_csv(trace_b, jobs_file)
+        run_sweep(config)
+        assert out.read_bytes() != first
         assert out.read_bytes().decode() == expected_rows.getvalue()
         assert summary_path_for(out).read_bytes().decode() == expected_summary.getvalue()
 
@@ -235,19 +268,9 @@ class TestConfigValidation:
 class TestCli:
     def test_generate_run_oracle_roundtrip(self, tmp_path, capsys):
         jobs_out = tmp_path / "jobs.csv"
-        vms_out = tmp_path / "vms.csv"
-        rc = main(
-            [
-                "generate",
-                "--num-jobs", "12",
-                "--num-vms", "3",
-                "--seed", "4",
-                "--jobs-out", str(jobs_out),
-                "--vms-out", str(vms_out),
-            ]
-        )
+        rc = main(["generate", "--num-jobs", "12", "--seed", "4", "--jobs-out", str(jobs_out)])
         assert rc == 0
-        assert jobs_out.exists() and vms_out.exists()
+        assert read_jobs_csv(jobs_out) == generate_workload(WorkloadSpec(job_count=12, seed=4))
 
         rc = main(
             [
@@ -293,7 +316,9 @@ class TestCli:
     def test_invalid_configuration_exits_2(self):
         assert main(["sweep", "--num-jobs", "0", "--vm-counts", "2"]) == 2
         assert main(["run", "--algorithm", "fcfs", "--num-vms", "0"]) == 2
-        assert main(["generate", "--num-jobs", "5"]) == 2  # no outputs requested
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--num-jobs", "5"])  # --jobs-out is required
+        assert excinfo.value.code == 2
 
     def test_oracle_capacity_exits_2(self):
         assert main(["oracle", "--num-jobs", "30", "--num-vms", "3"]) == 2
@@ -360,11 +385,39 @@ class TestCli:
         assert cells == [] and not out.exists()
 
     def test_generate_non_finite_vm_speeds_exits_2_writing_nothing(self, tmp_path, capsys):
-        jobs_out, vms_out = tmp_path / "jobs.csv", tmp_path / "vms.csv"
-        rc = main(["generate", "--num-jobs", "5", "--vm-speeds", "nan", "--jobs-out", str(jobs_out), "--vms-out", str(vms_out)])
+        # generate writes no fleet, so it no longer takes --vm-speeds at all
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--num-jobs", "5", "--vm-speeds", "nan", "--jobs-out", str(tmp_path / "jobs.csv")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --vm-speeds nan" in capsys.readouterr().err
+        # oracle builds its fleet from the flag and rejects the speed, naming the field
+        rc = main(["oracle", "--num-jobs", "5", "--num-vms", "2", "--vm-speeds", "nan"])
         assert rc == 2
-        assert "error: speed_choices must be non-empty, finite and positive" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error: speed_choices must be non-empty, finite and positive" in captured.err
+        assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_budget_below_league_size_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr(lcasched.bench, "run_cell", lambda *args: cells.append(args))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--num-jobs", "20", "--vm-counts", "2", "--reps", "1", "--algorithms", "fcfs,lca"]
+        rc = main(argv + ["--league-size", "4", "--max-evals", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: max_evaluations must be at least league_size (4), got 2\n"
+        assert cells == [] and list(tmp_path.iterdir()) == []
+
+    def test_header_only_jobs_file_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr(lcasched.bench, "run_cell", lambda *args: cells.append(args))
+        jobs_file = tmp_path / "empty.csv"
+        jobs_file.write_text("job_id,arrival_time,length_mi\n")
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--jobs-file", str(jobs_file), "--vm-counts", "2", "--reps", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: line 1: no jobs after the header\n"
+        assert cells == [] and sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]
 
 
 def test_import_leaves_out_the_process_pool():

@@ -346,7 +346,7 @@ class TestSwotUpdate:
                 gain_opponent[changed] = gains[1]
                 expected = np.where(
                     mask,
-                    domain.clip(
+                    np.clip(
                         swot_formation(
                             team.best_formation,
                             team.formation,
@@ -358,7 +358,9 @@ class TestSwotUpdate:
                             params.approach_coeff,
                             gain_rival,
                             gain_opponent,
-                        )
+                        ),
+                        domain.lower,
+                        domain.upper,
                     ),
                     team.best_formation,
                 )
@@ -420,7 +422,7 @@ class TestBoxDomain:
 
     def test_clip(self):
         domain = BoxDomain.cube(2, 0.0, 1.0)
-        assert domain.clip(np.array([-5.0, 0.5])).tolist() == [0.0, 0.5]
+        assert np.clip(np.array([-5.0, 0.5]), domain.lower, domain.upper).tolist() == [0.0, 0.5]
 
     @pytest.mark.parametrize(
         "lower,upper",

@@ -123,12 +123,10 @@ def test_budget_spent_mid_week_commits_the_drafts_already_scored():
 
 
 def test_budget_below_league_size_rejected():
-    with pytest.raises(ValueError):
-        optimize(
-            sphere,
-            BoxDomain.cube(2, 0.0, 1.0),
-            LcaParams(league_size=4, seasons=1, seed=0, max_evaluations=3),
-        )
+    # rejected when the parameters are built, before any objective call
+    with pytest.raises(ValueError, match=r"^max_evaluations must be at least league_size \(4\), got 3$"):
+        LcaParams(league_size=4, seasons=1, seed=0, max_evaluations=3)
+    LcaParams(league_size=4, seasons=1, seed=0, max_evaluations=4)
 
 
 def test_formations_stay_inside_domain():

@@ -45,9 +45,7 @@ PUBLIC_NAMES = [
     "generate_fleet",
     "generate_workload",
     "read_jobs_csv",
-    "read_vms_csv",
     "write_jobs_csv",
-    "write_vms_csv",
     # bench
     "ALGORITHMS",
     "DEFAULT_VM_COUNTS",
@@ -89,7 +87,7 @@ IMPORTED_ELSEWHERE = {
 
 
 def test_all_holds_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 44
     assert sorted(lcasched.__all__) == sorted(PUBLIC_NAMES)
 
 

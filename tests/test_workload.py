@@ -6,18 +6,16 @@ import threading
 import numpy as np
 import pytest
 
+import lcasched.workload
 from lcasched import (
     CsvFormatError,
     FleetSpec,
     Job,
-    Vm,
     WorkloadSpec,
     generate_fleet,
     generate_workload,
     read_jobs_csv,
-    read_vms_csv,
     write_jobs_csv,
-    write_vms_csv,
 )
 
 
@@ -139,6 +137,16 @@ class TestJobsCsv:
         write_jobs_csv(jobs, path)
         assert read_jobs_csv(path) == jobs
 
+    def test_a_path_is_parsed_in_one_call(self, tmp_path, monkeypatch):
+        # a wrapper around the public function, as a tracer installs, sees one read per file
+        calls = []
+        real = lcasched.workload.read_jobs_csv
+        monkeypatch.setattr(lcasched.workload, "read_jobs_csv", lambda source: calls.append(source) or real(source))
+        path = tmp_path / "jobs.csv"
+        write_jobs_csv([Job(0, 0.0, 10)], path)
+        assert lcasched.workload.read_jobs_csv(path) == [Job(0, 0.0, 10)]
+        assert calls == [path]
+
     def test_round_trip_generated_workload(self, tmp_path):
         jobs = generate_workload(WorkloadSpec(job_count=5000, arrival_rate=3.0, seed=21))
         path = tmp_path / "big.csv"
@@ -188,6 +196,15 @@ class TestJobsCsv:
         with pytest.raises(CsvFormatError, match="line 1"):
             read_jobs_csv(io.StringIO(""))
 
+    @pytest.mark.parametrize("text", ["job_id,arrival_time,length_mi\n", "job_id,arrival_time,length_mi\n\n\n"])
+    def test_header_only_file(self, tmp_path, text):
+        with pytest.raises(CsvFormatError, match="^line 1: no jobs after the header$"):
+            read_jobs_csv(io.StringIO(text))
+        path = tmp_path / "jobs.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match="^line 1: no jobs after the header$"):
+            read_jobs_csv(path)
+
     def test_duplicate_id(self):
         text = "job_id,arrival_time,length_mi\n0,0,10\n0,1,20\n"
         with pytest.raises(CsvFormatError, match="line 3.*duplicate"):
@@ -219,29 +236,3 @@ class TestJobsCsv:
         text = "job_id,arrival_time,length_mi\n0,0\n"
         with pytest.raises(CsvFormatError, match="line 2.*fields"):
             read_jobs_csv(io.StringIO(text))
-
-
-class TestVmsCsv:
-    def test_round_trip(self, tmp_path):
-        vms = generate_fleet(FleetSpec(vm_count=25, seed=3))
-        path = tmp_path / "vms.csv"
-        write_vms_csv(vms, path)
-        assert read_vms_csv(path) == vms
-
-    def test_header_enforced(self):
-        with pytest.raises(CsvFormatError, match="line 1"):
-            read_vms_csv(io.StringIO("vm,speed\n0,100\n"))
-
-    def test_duplicate_vm_id(self):
-        text = "vm_id,mips\n0,100\n0,200\n"
-        with pytest.raises(CsvFormatError, match="line 3.*duplicate"):
-            read_vms_csv(io.StringIO(text))
-
-    def test_nonpositive_speed(self):
-        with pytest.raises(CsvFormatError, match="line 2"):
-            read_vms_csv(io.StringIO("vm_id,mips\n0,0\n"))
-
-    @pytest.mark.parametrize("bad", ["inf", "nan", "1e999"])
-    def test_non_finite_speed(self, bad):
-        with pytest.raises(CsvFormatError, match="line 3: speed must be finite"):
-            read_vms_csv(io.StringIO(f"vm_id,mips\n0,100\n1,{bad}\n"))
