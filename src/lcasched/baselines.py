@@ -29,13 +29,8 @@ def _dispatch(jobs, vms, field: str, descending: bool) -> np.ndarray:
     (a stable lexsort), each to the VM that frees up earliest."""
     if not jobs or not vms:
         raise ValueError("jobs and vms must be non-empty")
-    keys = []
-    for name in ("id", field):
-        try:
-            keys.append(np.array([getattr(job, name) for job in jobs], float if name == "arrival_time" else np.int64))
-        except OverflowError:
-            raise ValueError(f"job {name} must fit a 64-bit integer to be sorted") from None
-    ids, values = keys
+    ids = np.array([job.id for job in jobs], dtype=np.int64)
+    values = np.array([getattr(job, field) for job in jobs], float if field == "arrival_time" else np.int64)
     speeds = [vm.speed for vm in vms]
     heap = [(0.0, vm) for vm in range(len(vms))]  # sorted, hence a valid heap
     assignment = [0] * len(jobs)

@@ -67,7 +67,6 @@ def _algorithms(text: str) -> tuple[str, ...]:
 
 def _add_workload_options(parser):
     group = parser.add_argument_group("workload")
-    group.add_argument("--jobs-file", help="read jobs from this CSV instead of generating them")
     group.add_argument("--num-jobs", type=int, default=500, help="generated workload size")
     group.add_argument("--len-min", type=int, default=DEFAULT_LEN_MIN, help="minimum job length (MI)")
     group.add_argument("--len-max", type=int, default=DEFAULT_LEN_MAX, help="maximum job length (MI)")
@@ -248,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="objective weights as w_makespan,w_completion,w_response",
     )
     oracle.set_defaults(func=_cmd_oracle)
+    for command in (run, sweep, oracle):  # generate writes a trace and reads none
+        command.add_argument("--jobs-file", help="read jobs from this CSV instead of generating them")
     return parser
 
 

@@ -7,8 +7,9 @@ arrival, average completion is the mean finish time, and average response
 is the mean wait between arrival and service start.
 
 ``ScheduleSimulator`` unpacks an instance into arrays once so that many
-assignments can be scored cheaply; ``BatchScorer`` scores batch instances
-from exact integer sums and rescores a few moved jobs without a replay;
+assignments can be scored cheaply; ``BatchScorer`` is the exact objective
+over random-key vectors for batch instances, scoring from integer sums and
+rescoring a few moved jobs without a replay (``BatchDraft``);
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
 an exact reference.
 """
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .problem import Job, MetricWeights, Vm
+from .problem import Job, MetricWeights, Vm, decode_random_key
 
 __all__ = [
     "JobTimeline",
@@ -145,7 +146,7 @@ def _checked_assignment(assignment, num_jobs: int, num_vms: int) -> np.ndarray:
 
 
 class BatchScorer:
-    """Exact integer form of a batch instance's weighted objective.
+    """Exact weighted objective of a batch instance, over random-key vectors.
 
     With every arrival at zero, VM v serves its jobs in id order, so its
     k-th job finishes at (L_1 + ... + L_k) / s_v. Two integer sums per VM
@@ -161,9 +162,10 @@ class BatchScorer:
     folded before dividing. ``_value`` is the one function from sums to
     score; it reduces with ``math.fsum``, so a score depends only on the
     integer sums, never on the order or layout they were computed in.
-    ``anchor`` keeps one assignment's per-VM state so that moving k jobs is
-    rescored in O(k * jobs per VM + k**2) steps (see ``BatchDraft``), not
-    O(n), giving the same float as ``score`` on the moved assignment.
+    A call scores key vector x as ``decode_random_key(x, num_vms)``;
+    ``delta_scorer`` keeps one formation's per-VM state so that moving k
+    jobs is rescored in O(k * jobs per VM + k**2) steps (see ``BatchDraft``),
+    not O(n), giving the same float as a call on the moved keys.
     """
 
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
@@ -200,7 +202,7 @@ class BatchScorer:
 
     def _sums(self, assignment: np.ndarray):
         """Per-VM S and T of ``assignment``, plus its jobs' ranks grouped by
-        VM (VM v's are ``group[starts[v]:ends[v]]``), which ``anchor`` keeps."""
+        VM (VM v's are ``group[starts[v]:ends[v]]``), which ``BatchDraft`` keeps."""
         assignment = _checked_assignment(assignment, self.num_jobs, self.num_vms)
         vm_by_rank = assignment[self._service_order]
         group = np.argsort(vm_by_rank.astype(self._vm_key), kind="stable")
@@ -240,9 +242,17 @@ class BatchScorer:
         _, _, _, weighted, totals = self._sums(assignment)
         return self._value(self._fold(weighted), self._fold(totals), totals.tolist())
 
-    def anchor(self, assignment: np.ndarray) -> "BatchDraft":
-        """Keep ``assignment``'s sums for rescoring drafts that move a few jobs."""
-        return BatchDraft(self, assignment)
+    def __call__(self, x: np.ndarray) -> float:
+        return self.score(decode_random_key(x, self.num_vms))
+
+    def delta_scorer(self, x: np.ndarray) -> "BatchDraft":
+        """Draft scorer anchored at formation ``x`` (protocol in ``lca.optimize``).
+
+        A class attribute on purpose: a wrapper made with ``functools.wraps``
+        copies instance attributes only, so wrapped objectives take the
+        plain call path.
+        """
+        return BatchDraft(self, decode_random_key(x, self.num_vms))
 
 
 class BatchDraft:
@@ -257,8 +267,9 @@ class BatchDraft:
     commit only deletes and inserts list items. Moves that share a VM are
     corrected pairwise: two jobs leaving or joining the same VM give back
     the earlier one's length, and one leaving where the other joins takes
-    it. ``draft`` scores the moved assignment without changing the anchor;
-    ``commit`` moves the anchor to the last draft.
+    it. ``draft`` decodes each moved job's key and scores the moved
+    assignment without changing the anchor; ``commit`` moves the anchor to
+    the last draft.
     """
 
     def __init__(self, scorer: BatchScorer, assignment: np.ndarray):
@@ -275,19 +286,19 @@ class BatchDraft:
         self.fitness = scorer._value(self._class_weighted, self._class_totals, self._totals)
         self._pending = ((), self._class_weighted, self._class_totals, self.fitness)
 
-    def draft(self, positions: Sequence[int], vms: Sequence[int]) -> float:
-        """Score the anchor with job ``positions[i]`` on VM ``vms[i]``.
-
-        VM indices must lie in [0, num_vms); positions must not repeat.
-        """
+    def draft(self, positions: Sequence[int], keys: Sequence[float]) -> float:
+        """Score the anchor with job ``positions[i]`` on the VM key ``keys[i]``
+        decodes to (``decode_random_key``, one key at a time); no position repeats."""
+        if not all(map(math.isfinite, keys)):
+            raise ValueError("keys must be finite")
         scorer = self._scorer
-        rank, length, class_of = scorer._rank, scorer._length, scorer._class_of
+        rank, length, class_of, top = scorer._rank, scorer._length, scorer._class_of, scorer.num_vms - 1
         assignment, ranks, lengths = self._assignment, self._ranks, self._lengths
         weighted = self._class_weighted.copy()
         totals = self._class_totals.copy()
         moves = []
-        for p, b in zip(positions, vms):
-            a = assignment[p]
+        for p, key in zip(positions, keys):
+            a, b = assignment[p], min(max(math.floor(key), 0), top)
             if a == b:
                 continue
             r, size = rank[p], length[p]

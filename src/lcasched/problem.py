@@ -38,6 +38,8 @@ class Job:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("job id must be nonnegative")
+        if self.id >= 2**63:  # the scorers sort ids and sum lengths as int64
+            raise ValueError("job id must fit a 64-bit integer")
         if not 0.0 <= self.arrival_time < math.inf:
             raise ValueError("arrival_time must be finite and nonnegative")
         length = self.length
@@ -45,6 +47,8 @@ class Job:
             raise ValueError(f"length must be an integer number of MI, got {length!r}")
         if length <= 0:
             raise ValueError("length must be positive")
+        if length >= 2**63:
+            raise ValueError("job length must fit a 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -125,16 +129,16 @@ def make_objective(
     returns the weighted mix of makespan, average completion time, and
     average response time. The instance is unpacked once up front.
 
-    Batch instances (every arrival at zero) are scored from exact integer
-    sums (``BatchScorer``), and the returned object also offers
-    ``delta_scorer``, which ``lca.optimize`` uses to rescore a draft from
-    the few keys it changed; that gives the same float as a call. Other
-    instances replay the schedule (``ScheduleSimulator``) on every call.
+    Batch instances (every arrival at zero) get a ``BatchScorer``, which
+    scores from exact integer sums and also offers ``delta_scorer``:
+    ``lca.optimize`` uses it to rescore a draft from the few keys it
+    changed, giving the same float as a call. Other instances replay the
+    schedule (``ScheduleSimulator``) on every call.
     """
     from .evaluator import BatchScorer, ScheduleSimulator
 
     if BatchScorer.applies(jobs):
-        return _BatchObjective(BatchScorer(jobs, vms, weights))
+        return BatchScorer(jobs, vms, weights)
     simulator = ScheduleSimulator(jobs, vms)
     num_vms = len(vms)
 
@@ -144,38 +148,3 @@ def make_objective(
 
     return objective
 
-
-class _BatchObjective:
-    def __init__(self, scorer):
-        self.scorer = scorer
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self.scorer.score(decode_random_key(x, self.scorer.num_vms))
-
-    def delta_scorer(self, x: np.ndarray) -> "_KeyDrafts":
-        """Draft scorer anchored at formation ``x`` (protocol in ``lca.optimize``).
-
-        A class attribute on purpose: a wrapper made with ``functools.wraps``
-        copies instance attributes only, so wrapped objectives take the
-        plain call path.
-        """
-        num_vms = self.scorer.num_vms
-        return _KeyDrafts(self.scorer.anchor(decode_random_key(x, num_vms)), num_vms)
-
-
-class _KeyDrafts:
-    """Random-key face of a ``BatchDraft``: decodes only the drafted keys."""
-
-    def __init__(self, anchor, num_vms: int):
-        self._anchor, self._top, self.commit = anchor, num_vms - 1, anchor.commit
-
-    @property
-    def fitness(self) -> float:
-        return self._anchor.fitness
-
-    def draft(self, slots: list[int], keys: list[float]) -> float:
-        """Score the anchor with key ``keys[i]`` at slot ``slots[i]``; slots must not repeat."""
-        if not all(map(math.isfinite, keys)):
-            raise ValueError("keys must be finite")
-        top = self._top
-        return self._anchor.draft(slots, [min(max(math.floor(key), 0), top) for key in keys])

@@ -320,6 +320,37 @@ class TestCli:
             main(["generate", "--num-jobs", "5"])  # --jobs-out is required
         assert excinfo.value.code == 2
 
+    def test_generate_rejects_jobs_file(self, tmp_path, capsys):
+        # generate writes a trace; it has no use for one to read
+        jobs_out = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--jobs-file", str(tmp_path / "nonexistent.csv"), "--num-jobs", "3", "--jobs-out", str(jobs_out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs-file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--algorithm", "fcfs", "--num-vms", "2", "--out", "{tmp}/r.csv"],
+            ["sweep", "--vm-counts", "2", "--reps", "1", "--out", "{tmp}/r.csv"],
+            ["oracle", "--num-vms", "2"],
+        ],
+        ids=["run", "sweep", "oracle"],
+    )
+    @pytest.mark.parametrize(
+        "row,field", [("99999999999999999999999,0.0,5", "id"), (f"2,0.0,{10**400}", "length")], ids=["id", "length"]
+    )
+    def test_jobs_beyond_int64_exit_2_naming_the_line(self, tmp_path, capsys, argv, row, field):
+        jobs_file = tmp_path / "jobs.csv"
+        jobs_file.write_text(f"job_id,arrival_time,length_mi\n1,0.0,5\n{row}\n")
+        rc = main([arg.format(tmp=tmp_path) for arg in argv] + ["--jobs-file", str(jobs_file)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 3: job {field} must fit a 64-bit integer\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.csv"]
+
     def test_oracle_capacity_exits_2(self):
         assert main(["oracle", "--num-jobs", "30", "--num-vms", "3"]) == 2
 

@@ -15,7 +15,7 @@ from lcasched import (
     fcfs_schedule,
     ljf_schedule,
 )
-from lcasched.evaluator import BatchScorer, _segmented_cummax
+from lcasched.evaluator import BatchDraft, BatchScorer, _segmented_cummax
 
 from conftest import naive_metrics, naive_timeline, random_instance
 
@@ -221,7 +221,7 @@ class TestBatchScorer:
         jobs, vms, weights, assignment, drafts = case
         scorer = BatchScorer(jobs, vms, weights)
         simulator = ScheduleSimulator(jobs, vms)
-        anchor = scorer.anchor(assignment)
+        anchor = BatchDraft(scorer, assignment)
         assert anchor.fitness == scorer.score(assignment)
         for positions, targets, commit in drafts:
             moved = assignment.copy()
@@ -248,7 +248,7 @@ class TestBatchScorer:
         scorer = BatchScorer(jobs, vms, MetricWeights(1.0, 1.0, 1.0))
         # finishes 10, 10, 40: makespan 40, completion 20, response 10/3
         assert scorer.score(np.array([0, 1, 0])) == pytest.approx(40.0 + 20.0 + 10.0 / 3.0, rel=1e-15)
-        anchor = scorer.anchor(np.array([0, 1, 0]))
+        anchor = BatchDraft(scorer, np.array([0, 1, 0]))
         # swap jobs 0 and 1: VM 0 serves id 1 then id 2 (finish 20, 50), VM 1 serves id 0 (5)
         assert anchor.draft([0, 1], [1, 0]) == scorer.score(np.array([1, 0, 0]))
         assert anchor.fitness == scorer.score(np.array([0, 1, 0]))
@@ -261,7 +261,7 @@ class TestBatchScorer:
     def test_moves_to_the_same_vm_are_free(self):
         jobs = [Job(i, 0.0, 5 + i) for i in range(6)]
         scorer = BatchScorer(jobs, [Vm(0, 2.0)])
-        anchor = scorer.anchor(np.zeros(6, dtype=np.int64))
+        anchor = BatchDraft(scorer, np.zeros(6, dtype=np.int64))
         assert anchor.draft(list(range(6)), [0] * 6) == anchor.fitness
 
     def test_applies_only_to_batch_instances_that_fit(self):
@@ -281,7 +281,7 @@ class TestBatchScorer:
         scorer = BatchScorer(jobs, vms, MetricWeights(1.0, 1.0, 1.0))
         rng = np.random.default_rng(3)
         assignment = rng.integers(0, 2, size=40)
-        anchor = scorer.anchor(assignment)
+        anchor = BatchDraft(scorer, assignment)
         for _ in range(50):
             positions = rng.choice(40, 3, replace=False).tolist()
             targets = rng.integers(0, 2, size=3).tolist()

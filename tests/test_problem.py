@@ -101,6 +101,42 @@ class TestMakeObjective:
         x = np.array([0.1, 1.1, 0.6])
         assert objective(x) == objective(x)
 
+    @staticmethod
+    def _batch_case():
+        rng = np.random.default_rng(5)
+        jobs = [Job(i, 0.0, int(rng.integers(1, 50))) for i in range(8)]
+        vms = [Vm(0, 1.0), Vm(1, 3.0), Vm(2, 0.5)]
+        return make_objective(jobs, vms, MetricWeights(1.0, 1.0, 1.0)), rng.uniform(0.0, 3.0, 8)
+
+    def test_draft_keys_decode_like_the_full_vector(self):
+        # the draft floors and clamps each key itself; every edge of the box and beyond
+        objective, x = self._batch_case()
+        keys = [-1e300, -0.5, 0.0, 3 - 1e-9, 3.0, 1e300]
+        drafts = objective.delta_scorer(x)
+        for slot in range(8):
+            for key in keys:
+                moved = x.copy()
+                moved[slot] = key
+                assert drafts.draft([slot], [key]) == objective(moved)
+        moved = x.copy()
+        moved[[7, 0, 5, 2, 4, 1]] = keys
+        assert drafts.draft([7, 0, 5, 2, 4, 1], keys) == objective(moved)
+        drafts.commit()
+        assert drafts.fitness == objective(moved)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draft_keys_rejected(self, bad):
+        objective, x = self._batch_case()
+        drafts = objective.delta_scorer(x)
+        fitness = drafts.fitness
+        with pytest.raises(ValueError, match="keys must be finite"):
+            drafts.draft([0, 1], [2.5, bad])
+        drafts.commit()  # the rejected draft left nothing to commit
+        assert drafts.fitness == fitness == objective(x)
+        moved = x.copy()
+        moved[[0, 1]] = [2.5, 0.5]
+        assert drafts.draft([0, 1], [2.5, 0.5]) == objective(moved)
+
     def test_empty_inputs_rejected(self, three_jobs_two_vms):
         jobs, vms = three_jobs_two_vms
         with pytest.raises(ValueError):
