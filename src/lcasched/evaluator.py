@@ -7,9 +7,12 @@ arrival, average completion is the mean finish time, and average response
 is the mean wait between arrival and service start.
 
 ``ScheduleSimulator`` unpacks an instance into arrays once so that many
-assignments can be scored cheaply; ``BatchScorer`` is the exact objective
-over random-key vectors for batch instances, scoring from integer sums and
-rescoring a few moved jobs without a replay (``BatchDraft``);
+assignments can be scored cheaply. ``make_objective`` returns one of two
+scorers over random-key vectors: ``BatchScorer``, exact for batch
+instances, scores from integer sums and rescores a few moved jobs without
+a replay (``BatchDraft``); ``_ReplayScorer``, for staggered instances,
+decodes keys straight into the replay's service order, and its drafts
+patch the moved jobs' VM keys and replay once (``_ReplayDraft``).
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
 an exact reference.
 """
@@ -96,7 +99,12 @@ class ScheduleSimulator:
 
     def _replay(self, assignment: np.ndarray):
         assignment = _checked_assignment(assignment, self.num_jobs, self.num_vms)
-        vm_sorted = assignment[self._service_order].astype(self._vm_key)
+        return self._replay_sorted(assignment[self._service_order].astype(self._vm_key))
+
+    def _replay_sorted(self, vm_sorted: np.ndarray, weights: MetricWeights | None = None):
+        """Replay from each job's VM in service order, as ``_vm_key`` integers
+        already known to lie in [0, num_vms). With ``weights``, a metric of
+        zero weight is left at 0.0, which scores the same."""
         group = np.argsort(vm_sorted, kind="stable")
         grouped_vm = vm_sorted[group]
         exec_times = self._lengths_sorted[group] / self.speeds.take(grouped_vm)
@@ -104,15 +112,16 @@ class ScheduleSimulator:
         before = totals - exec_times
         arrivals = self._arrivals_sorted[group]
         starts = np.maximum(before + _segmented_cummax(arrivals - before, grouped_vm), arrivals)
-        waits = starts - arrivals
         finishes = starts + exec_times
-        metrics = ScheduleMetrics(
-            makespan=float(finishes.max()) - self._min_arrival,
-            # the sum over the count is what ndarray.mean computes, without its dispatch overhead
-            avg_completion=float(np.add.reduce(finishes) / self.num_jobs),
-            avg_response=float(np.add.reduce(waits) / self.num_jobs),
-        )
-        return group, starts, finishes, metrics
+        makespan = completion = response = 0.0
+        if weights is None or weights.makespan:
+            makespan = float(finishes.max()) - self._min_arrival
+        # the sum over the count is what ndarray.mean computes, without its dispatch overhead
+        if weights is None or weights.completion:
+            completion = float(np.add.reduce(finishes) / self.num_jobs)
+        if weights is None or weights.response:
+            response = float(np.add.reduce(starts - arrivals) / self.num_jobs)
+        return group, starts, finishes, ScheduleMetrics(makespan, completion, response)
 
     def metrics(self, assignment: np.ndarray) -> ScheduleMetrics:
         """Score one assignment without materializing the timeline."""
@@ -350,6 +359,73 @@ class BatchDraft:
             self._assignment[p] = b
         self._class_weighted, self._class_totals, self.fitness = weighted, totals, value
         self._pending = ((), weighted, totals, value)
+
+
+class _ReplayScorer:
+    """Weighted objective of a staggered instance, over random-key vectors.
+
+    A call decodes the keys in the replay's service order, with no
+    assignment check or gather, and replays them
+    (``ScheduleSimulator._replay_sorted``); metrics of zero weight are not
+    computed. ``delta_scorer`` keeps one formation's VM keys so that a draft
+    patches only the moved jobs' keys and reruns the same replay, so a draft
+    equals a call bit for bit.
+    """
+
+    def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
+        self._simulator = ScheduleSimulator(jobs, vms)
+        self.weights = weights
+        self.num_vms = len(vms)
+        order = self._simulator._service_order
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        self._place = place.tolist()  # job position -> service position
+
+    def _vm_keys(self, x: np.ndarray) -> np.ndarray:
+        """Each job's VM in service order, as the replay's narrow VM keys."""
+        x = np.asarray(x)
+        if x.shape != (self._simulator.num_jobs,):
+            raise ValueError("need one key per job")
+        return decode_random_key(x.take(self._simulator._service_order), self.num_vms).astype(self._simulator._vm_key)
+
+    def _score(self, vm_sorted: np.ndarray) -> float:
+        return self.weights.score(self._simulator._replay_sorted(vm_sorted, self.weights)[3])
+
+    def __call__(self, x: np.ndarray) -> float:
+        return self._score(self._vm_keys(x))
+
+    def delta_scorer(self, x: np.ndarray) -> "_ReplayDraft":
+        """Draft scorer anchored at formation ``x`` (protocol in ``lca.optimize``);
+        a class attribute, like ``BatchScorer.delta_scorer``."""
+        return _ReplayDraft(self, self._vm_keys(x))
+
+
+class _ReplayDraft:
+    """One formation's service-order VM keys, and drafts that patch a few of them."""
+
+    def __init__(self, scorer: _ReplayScorer, vm_sorted: np.ndarray):
+        self._scorer = scorer
+        self._vm_sorted = vm_sorted
+        self.fitness = scorer._score(vm_sorted)
+        self._pending = (vm_sorted, self.fitness)
+
+    def draft(self, positions: Sequence[int], keys: Sequence[float]) -> float:
+        """Score the anchor with job ``positions[i]`` on the VM key ``keys[i]``
+        decodes to (``decode_random_key``, one key at a time)."""
+        if not all(map(math.isfinite, keys)):
+            raise ValueError("keys must be finite")
+        scorer = self._scorer
+        place, top = scorer._place, scorer.num_vms - 1
+        vm_sorted = self._vm_sorted.copy()
+        for p, key in zip(positions, keys):
+            vm_sorted[place[p]] = min(max(math.floor(key), 0), top)
+        value = scorer._score(vm_sorted)
+        self._pending = (vm_sorted, value)
+        return value
+
+    def commit(self) -> None:
+        """Make the last draft the anchor."""
+        self._vm_sorted, self.fitness = self._pending
 
 
 def _segmented_cummax(values: np.ndarray, queue: np.ndarray) -> np.ndarray:

@@ -217,22 +217,27 @@ def truncated_geometric(r, dimension: int, change_prob: float):
         raise ValueError("dimension must be positive")
     if not 0.0 < change_prob < 1.0:
         raise ValueError("change_prob must lie strictly between 0 and 1")
-    log_keep = math.log1p(-change_prob)
-    # total mass of the untruncated law on 1..dimension: 1 - (1 - p)^dimension
     if isinstance(r, (float, int)):
         r = float(r)
         if not 0.0 <= r < 1.0:
             raise ValueError("quantile must lie in [0, 1)")
-        total = -math.expm1(dimension * log_keep)
-        count = math.ceil(math.log1p(-r * total) / log_keep)
-        return min(dimension, max(1, count))
+        return _count_quantile(dimension, change_prob)(r)
     r = np.asarray(r, dtype=float)
     if np.any(~np.isfinite(r)) or np.any((r < 0.0) | (r >= 1.0)):
         raise ValueError("quantile must lie in [0, 1)")
+    log_keep = math.log1p(-change_prob)
+    # total mass of the untruncated law on 1..dimension: 1 - (1 - p)^dimension
     total = -np.expm1(dimension * log_keep)
     counts = np.ceil(np.log1p(-r * total) / log_keep)
     counts = np.clip(counts, 1, dimension).astype(np.int64)
     return counts if counts.ndim else int(counts)
+
+
+def _count_quantile(dimension: int, change_prob: float):
+    """``truncated_geometric`` of one float quantile, its constants computed once."""
+    log_keep = math.log1p(-change_prob)
+    total = -math.expm1(dimension * log_keep)
+    return lambda r: min(dimension, max(1, math.ceil(math.log1p(-r * total) / log_keep)))
 
 
 def change_count(rng: np.random.Generator, dimension: int, change_prob: float) -> int:
@@ -240,18 +245,14 @@ def change_count(rng: np.random.Generator, dimension: int, change_prob: float) -
     return int(truncated_geometric(rng.random(), dimension, change_prob))
 
 
-def _change_indices(rng: np.random.Generator, dimension: int, count: int) -> list[int]:
-    # Uniform subsets without replacement. Below 128 slots a permutation
-    # prefix, which keeps the stream of small problems; from 128 up Floyd's
-    # sampling (Bentley & Floyd, CACM 30(9), 1987): for j from dimension -
-    # count to dimension - 1, take t = floor(u * (j + 1)), or j if t is already
-    # chosen (u < 1 keeps t <= j in floats too). For 3 slots (numpy 2.4, 2-core
-    # x86): permutation 6 us at 128 slots, 13 at 500 and 94 at 5000; Floyd
-    # 3-4 us at any size; rng.choice, which it replaced from 512 up, 11 us.
-    if dimension < 128:
-        return rng.permutation(dimension)[:count].tolist()
+def _floyd_slots(dimension: int, uniforms: list[float]) -> list[int]:
+    # Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987) of len(uniforms)
+    # distinct slots: for j from dimension - count to dimension - 1, take
+    # t = floor(u * (j + 1)), or j if t is already chosen (u < 1 keeps t <= j
+    # in floats too). For 3 slots (numpy 2.4, 2-core x86) a permutation took
+    # 6 us at 128 slots, 13 at 500 and 94 at 5000; Floyd 3-4 us at any size.
     chosen: dict[int, None] = {}  # insertion-ordered set
-    for j, u in zip(range(dimension - count, dimension), rng.random(count).tolist()):
+    for j, u in zip(range(dimension - len(uniforms), dimension), uniforms):
         t = int(u * (j + 1))
         chosen[j if t in chosen else t] = None
     return list(chosen)
@@ -289,24 +290,40 @@ def swot_formation(
     return best + (gain_rival * rival_pull + gain_opponent * opponent_pull)
 
 
-def _draft(rng, params: LcaParams, dimension: int, won: bool, rival_opponent_won: bool, gather):
-    """Draw the change count, the slots and their gains, in that order, and
-    rebuild the slots, clamped as ``np.clip`` would: ``(slots, keys)``.
+def _drafter(params: LcaParams, dimension: int):
+    """The weekly draft of one run: ``draft(rng, won, rival_opponent_won, gather)``
+    draws the change count, the slots and their gains, in that order, and
+    rebuilds the slots, clamped as ``np.clip`` would: ``(slots, keys)``.
     ``gather(slots)`` yields one tuple per slot: the team's best and current
-    keys there, its opponent's, its rival's opponent's, and the bounds."""
-    count = change_count(rng, dimension, params.change_prob)
-    slots = _change_indices(rng, dimension, count)
-    gain_rival, gain_opponent = rng.random((2, count)).tolist()
+    keys there, its opponent's, its rival's opponent's, and the bounds.
+
+    Below 128 slots the slots are a permutation prefix, which keeps the
+    stream of small problems, and the gains a (2, count) block. From 128 up
+    one ``rng.random(3 * count)`` call gives the Floyd uniforms and then both
+    gain rows: the same doubles, in the same order, as three calls."""
+    count_of = _count_quantile(dimension, params.change_prob)
     retreat, approach = params.retreat_coeff, params.approach_coeff
-    keys = []
-    for (best, current, opponent, rival_opponent, lo, hi), g_rival, g_opponent in zip(
-        gather(slots), gain_rival, gain_opponent
-    ):
-        x = swot_formation(
-            best, current, opponent, rival_opponent, won, rival_opponent_won, retreat, approach, g_rival, g_opponent
-        )
-        keys.append(lo if x < lo else hi if x > hi else x)
-    return slots, keys
+
+    def draft(rng, won: bool, rival_opponent_won: bool, gather):
+        count = count_of(rng.random())
+        if dimension < 128:
+            slots = rng.permutation(dimension)[:count].tolist()
+            gain_rival, gain_opponent = rng.random((2, count)).tolist()
+        else:
+            uniforms = rng.random(3 * count).tolist()
+            slots = _floyd_slots(dimension, uniforms[:count])
+            gain_rival, gain_opponent = uniforms[count : 2 * count], uniforms[2 * count :]
+        keys = []
+        for (best, current, opponent, rival_opponent, lo, hi), g_rival, g_opponent in zip(
+            gather(slots), gain_rival, gain_opponent
+        ):
+            x = swot_formation(
+                best, current, opponent, rival_opponent, won, rival_opponent_won, retreat, approach, g_rival, g_opponent
+            )
+            keys.append(lo if x < lo else hi if x > hi else x)
+        return slots, keys
+
+    return draft
 
 
 def swot_update(
@@ -324,17 +341,18 @@ def swot_update(
     Draw order: one quantile for the change count, then the changed slots,
     then a (2, count) gain block whose columns pair with the slots in draw
     order. Below 128 slots the slots are ``rng.permutation(dimension)[:count]``;
-    from 128 up Floyd's sampling picks them from one ``rng.random(count)``
-    draw in O(count). Changed slots are rebuilt by ``swot_formation`` and
-    clamped into the domain; unchanged slots carry the team's best
-    formation exactly. ``optimize`` drafts through the same draw.
+    from 128 up Floyd's sampling picks them in O(count) from ``count``
+    uniforms, drawn in one call with the gains. Changed slots are rebuilt
+    by ``swot_formation`` and clamped into the domain; unchanged slots
+    carry the team's best formation exactly. ``optimize`` drafts through
+    the same draw.
     """
     vectors = (team.best_formation, team.formation, opponent_formation, rival_opponent_formation)
     if any(np.shape(vec) != (domain.dimension,) for vec in vectors):
         raise ValueError("formation length does not match the domain dimension")
     vectors += (domain.lower, domain.upper)
-    slots, keys = _draft(
-        rng, params, domain.dimension, won, rival_opponent_won,
+    slots, keys = _drafter(params, domain.dimension)(
+        rng, won, rival_opponent_won,
         lambda slots: zip(*(np.asarray(vec, dtype=float)[slots].tolist() for vec in vectors)),
     )
     new = team.best_formation.copy()
@@ -419,6 +437,7 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
         x[slots] = keys
         return x
 
+    draft = _drafter(params, n)
     schedule = generate_league_schedule(league)
     opponents = schedule.opponents().tolist()
     weeks_per_season = league - 1
@@ -437,7 +456,7 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
             best, own = best_rows[i], overrides[i]
             row_o, over_o = best_rows[opponent], overrides[opponent]
             row_r, over_r = best_rows[rival_opponent], overrides[rival_opponent]
-            slots, keys = _draft(rng, params, n, won[i], won[rival_opponent], lambda slots: (
+            slots, keys = draft(rng, won[i], won[rival_opponent], lambda slots: (
                 (best[s], own.get(s, best[s]), over_o.get(s, row_o[s]), over_r.get(s, row_r[s]), lower[s], upper[s])
                 for s in slots
             ))

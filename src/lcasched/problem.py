@@ -130,21 +130,15 @@ def make_objective(
     average response time. The instance is unpacked once up front.
 
     Batch instances (every arrival at zero) get a ``BatchScorer``, which
-    scores from exact integer sums and also offers ``delta_scorer``:
+    scores from exact integer sums; other instances get a scorer that
+    decodes the keys straight into the replay's service order and replays
+    the schedule (``ScheduleSimulator``). Both offer ``delta_scorer``:
     ``lca.optimize`` uses it to rescore a draft from the few keys it
-    changed, giving the same float as a call. Other instances replay the
-    schedule (``ScheduleSimulator``) on every call.
+    changed, giving the same float as a call. A batch draft rescores the
+    moved jobs alone; a staggered one patches their VM keys and replays.
     """
-    from .evaluator import BatchScorer, ScheduleSimulator
+    from .evaluator import BatchScorer, _ReplayScorer
 
     if BatchScorer.applies(jobs):
         return BatchScorer(jobs, vms, weights)
-    simulator = ScheduleSimulator(jobs, vms)
-    num_vms = len(vms)
-
-    def objective(x: np.ndarray) -> float:
-        assignment = decode_random_key(x, num_vms)
-        return weights.score(simulator.metrics(assignment))
-
-    return objective
-
+    return _ReplayScorer(jobs, vms, weights)

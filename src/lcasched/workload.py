@@ -18,6 +18,7 @@ import contextlib
 import csv
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -134,12 +135,12 @@ def read_jobs_csv(source) -> list[Job]:
             line_num = reader.line_num
             if len(row) != 3:
                 raise CsvFormatError(f"line {line_num}: expected 3 fields, got {len(row)}")
+            job_id = _integer_field(row[0], "job_id", "job id", line_num)
             try:
-                job_id = int(row[0])
                 arrival = float(row[1])
-                length = int(row[2])
             except ValueError:
-                raise CsvFormatError(f"line {line_num}: non-numeric field") from None
+                raise CsvFormatError(f"line {line_num}: non-numeric field arrival_time") from None
+            length = _integer_field(row[2], "length_mi", "job length", line_num)
             if job_id in seen:
                 raise CsvFormatError(f"line {line_num}: duplicate job_id {job_id}")
             seen.add(job_id)
@@ -150,6 +151,20 @@ def read_jobs_csv(source) -> list[Job]:
     if not jobs:
         raise CsvFormatError("line 1: no jobs after the header")
     return jobs
+
+
+_INTEGER = re.compile(r"\s*[+-]?([0-9]+)\s*")
+
+
+def _integer_field(text: str, column: str, name: str, line_num: int) -> int:
+    """Parse ASCII decimal digits with an optional sign, nothing else: ``int``
+    alone would also take digit separators (``1_0``) and non-ASCII digits."""
+    match = _INTEGER.fullmatch(text)
+    if match is None:
+        raise CsvFormatError(f"line {line_num}: non-integer field {column}: {text!r}")
+    if len(match[1].lstrip("0")) > 19:  # 2**63 has 19 digits; int() also caps the digits it parses
+        raise CsvFormatError(f"line {line_num}: {name} must fit a 64-bit integer")
+    return int(text)
 
 
 def write_jobs_csv(jobs: Sequence[Job], sink) -> None:

@@ -351,6 +351,23 @@ class TestCli:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.csv"]
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("1_0,0.0,5", "line 3: non-integer field job_id: '1_0'"),
+            (f"2,0.0,{'9' * 5000}", "line 3: job length must fit a 64-bit integer"),
+        ],
+        ids=["separator", "5000-digits"],
+    )
+    def test_malformed_integer_fields_exit_2(self, tmp_path, capsys, row, message):
+        jobs_file = tmp_path / "jobs.csv"
+        jobs_file.write_text(f"job_id,arrival_time,length_mi\n10,0.0,5\n{row}\n")
+        out = tmp_path / "r.csv"
+        rc = main(["run", "--algorithm", "fcfs", "--num-vms", "2", "--jobs-file", str(jobs_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_oracle_capacity_exits_2(self):
         assert main(["oracle", "--num-jobs", "30", "--num-vms", "3"]) == 2
 

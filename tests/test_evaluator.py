@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from lcasched import (
     fcfs_schedule,
     ljf_schedule,
 )
-from lcasched.evaluator import BatchDraft, BatchScorer, _segmented_cummax
+from lcasched import decode_random_key
+from lcasched.evaluator import BatchDraft, BatchScorer, _ReplayScorer, _segmented_cummax
 
 from conftest import naive_metrics, naive_timeline, random_instance
 
@@ -296,6 +299,95 @@ class TestBatchScorer:
         for bad in (np.array([0, 1, 2]), np.array([0, -1, 0]), np.array([0, 1]), np.array([0.0, 1.0, 0.0])):
             with pytest.raises(ValueError):
                 scorer.score(bad)
+
+
+@st.composite
+def staggered_draft_cases(draw):
+    """An instance with staggered, often tied arrivals, a weight mix, an
+    anchor key vector, and a sequence of drafts, each a list of (position,
+    key) moves with a commit flag. Keys reach beyond [0, num_vms] and up to
+    +-1e300, and some repeat the anchor's key or one that floors to the same
+    VM, so the job stays. Fleets are 1 VM, 2-8 VMs, or 250-300 VMs (16-bit
+    VM keys)."""
+    num_vms = draw(st.one_of(st.just(1), st.integers(2, 8), st.integers(250, 300)))
+    num_jobs = draw(st.integers(1, 60))
+    ids = draw(st.permutations(range(num_jobs)))
+    lengths = draw(st.lists(st.one_of(st.integers(1, 100), st.integers(1, 10**9)), min_size=num_jobs, max_size=num_jobs))
+    arrival = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0]), st.floats(0.0, 100.0))
+    arrivals = draw(st.lists(arrival, min_size=num_jobs, max_size=num_jobs))
+    speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 3.7, 1000.0]), min_size=1, max_size=5))
+    jobs = [Job(i, a, n) for i, a, n in zip(ids, arrivals, lengths)]
+    vms = [Vm(v, speeds[v % len(speeds)]) for v in range(num_vms)]
+    crowded = st.floats(0.0, min(num_vms, 3), exclude_max=True)
+    key = st.one_of(
+        crowded,
+        st.floats(-3.0, num_vms + 3.0),
+        st.sampled_from([-1e300, -0.5, 0.0, float(num_vms), 1e300]),
+    )
+    anchor = np.array(draw(st.lists(key, min_size=num_jobs, max_size=num_jobs)))
+    drafts = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            positions = list(range(num_jobs))
+        else:
+            positions = draw(st.lists(st.integers(0, num_jobs - 1), min_size=1, max_size=6, unique=True))
+        keys = [draw(st.one_of(key, st.just(None), st.just("same VM"))) for _ in positions]
+        drafts.append((positions, keys, draw(st.booleans())))
+    weights = draw(st.sampled_from(WEIGHT_MIXES))
+    return jobs, vms, weights, anchor, drafts
+
+
+class TestReplayScorer:
+    @settings(max_examples=200, deadline=None)
+    @given(staggered_draft_cases())
+    def test_drafts_equal_calls_from_scratch(self, case):
+        jobs, vms, weights, x, drafts = case
+        scorer = _ReplayScorer(jobs, vms, weights)
+        simulator = ScheduleSimulator(jobs, vms)
+
+        def replayed(x):  # the objective's definition: decode, replay, weigh every metric
+            return weights.score(simulator.metrics(decode_random_key(x, len(vms))))
+
+        anchor = scorer.delta_scorer(x)
+        assert anchor.fitness == scorer(x) == replayed(x)
+        for positions, keys, commit in drafts:
+            # None keeps the anchor's key; "same VM" moves it within its VM's unit interval
+            keys = [
+                x[p] if k is None else math.floor(min(max(x[p], 0.0), len(vms) - 1)) + 0.25 if k == "same VM" else k
+                for p, k in zip(positions, keys)
+            ]
+            moved = x.copy()
+            moved[positions] = keys
+            value = anchor.draft(positions, keys)
+            assert value == scorer(moved) == replayed(moved)
+            if commit:
+                anchor.commit()
+                x = moved
+            assert anchor.fitness == scorer(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_keys_rejected(self, bad):
+        jobs = [Job(i, float(i % 3), 10 + i) for i in range(6)]
+        scorer = _ReplayScorer(jobs, [Vm(0, 1.0), Vm(1, 2.0)], MetricWeights(1.0, 1.0, 1.0))
+        x = np.array([0.5, 1.5, 0.2, 1.9, 0.0, 2.0])
+        anchor = scorer.delta_scorer(x)
+        fitness = anchor.fitness
+        with pytest.raises(ValueError, match="keys must be finite"):
+            anchor.draft([0, 3], [1.5, bad])
+        anchor.commit()  # the rejected draft left nothing to commit
+        assert anchor.fitness == fitness == scorer(x)
+        bad_x = x.copy()
+        bad_x[4] = bad
+        with pytest.raises(ValueError, match="keys must be finite"):
+            scorer(bad_x)
+        with pytest.raises(ValueError, match="keys must be finite"):
+            scorer.delta_scorer(bad_x)
+
+    def test_wrong_length_rejected(self):
+        scorer = _ReplayScorer([Job(0, 1.0, 5), Job(1, 0.0, 5)], [Vm(0, 1.0)])
+        for bad in (np.zeros(1), np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="one key per job"):
+                scorer(bad)
 
 
 def segmented_cummax_reference(values, first):

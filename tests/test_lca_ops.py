@@ -16,7 +16,7 @@ from lcasched import (
     truncated_geometric,
     win_probability,
 )
-from lcasched.lca import _change_indices
+from lcasched.lca import _floyd_slots
 
 # Gaps and shifts are kept well clear of the last few ulps so the 1e-12
 # tolerances below are meaningful rather than vacuous.
@@ -210,7 +210,7 @@ class TestChangedSlots:
             for _ in range(50):
                 mirror = np.random.default_rng()
                 mirror.bit_generator.state = rng.bit_generator.state
-                slots = _change_indices(rng, 200, count)
+                slots = _floyd_slots(200, rng.random(count).tolist())
                 assert len(set(slots)) == len(slots) == count
                 assert all(0 <= s < 200 for s in slots)
                 assert slots == floyd_sample(mirror, 200, count)

@@ -11,9 +11,11 @@ from lcasched import (
     Job,
     LcaParams,
     MetricWeights,
+    ScheduleSimulator,
     Vm,
     WorkloadSpec,
     assignment_domain,
+    decode_random_key,
     generate_fleet,
     generate_workload,
     make_objective,
@@ -255,10 +257,27 @@ def test_per_slot_bounds_hold_and_delta_equals_plain(num_jobs):
     assert domain.contains(delta.best_formation)
 
 
-def test_staggered_objective_has_no_delta_hook():
-    jobs = generate_workload(WorkloadSpec(job_count=30, arrival_rate=2.0, seed=1))
-    objective = make_objective(jobs, generate_fleet(FleetSpec(vm_count=3)))
-    assert not hasattr(type(objective), "delta_scorer")
+def test_staggered_delta_run_equals_plain_run():
+    # staggered drafts patch the anchor's VM keys and replay; the run must not
+    # depend on which path scored it. Cases: tied arrivals, 128 slots or more
+    # (Floyd's sampling), 16-bit VM keys, and a three-metric weight mix.
+    tied = [Job(i, float(i // 7), 1 + (i * 37) % 50) for i in range(40)]
+    for jobs, num_vms, weights, seed in (
+        (tied, 3, MetricWeights(1.0, 1.0, 1.0), 0),
+        (generate_workload(WorkloadSpec(job_count=300, arrival_rate=5.0, seed=1)), 20, MetricWeights(), 1),
+        (generate_workload(WorkloadSpec(job_count=120, arrival_rate=2.0, seed=2)), 270, MetricWeights(0.5, 0.0, 2.0), 2),
+    ):
+        vms = generate_fleet(FleetSpec(vm_count=num_vms))
+        objective = make_objective(jobs, vms, weights)
+        assert hasattr(type(objective), "delta_scorer")
+        domain = assignment_domain(len(jobs), num_vms)
+        params = LcaParams(league_size=6, seasons=40, seed=seed, max_evaluations=400)
+        delta = optimize(objective, domain, params)
+        assert_same_result(delta, optimize(lambda x: objective(x), domain, params))
+        # and both equal a replay of the decoded vector, the objective's definition
+        simulator = ScheduleSimulator(jobs, vms)
+        replayed = optimize(lambda x: weights.score(simulator.metrics(decode_random_key(x, num_vms))), domain, params)
+        assert_same_result(delta, replayed)
 
 
 class TestNonFiniteFitness:

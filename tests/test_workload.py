@@ -215,6 +215,29 @@ class TestJobsCsv:
         with pytest.raises(CsvFormatError, match="line 2.*non-numeric"):
             read_jobs_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("column", ["job_id", "length_mi"])
+    @pytest.mark.parametrize("bad", ["1_0", "1__0", "\u0661\u0660", "0x10", "1 0", "", "+"])
+    def test_integer_fields_take_plain_digits_only(self, column, bad):
+        # int() alone reads 1_0 as 10 and Arabic-Indic digits as 10
+        row = f"{bad},0.0,5" if column == "job_id" else f"1,0.0,{bad}"
+        text = f"job_id,arrival_time,length_mi\n10,0,7\n{row}\n"
+        with pytest.raises(CsvFormatError, match=f"^line 3: non-integer field {column}: "):
+            read_jobs_csv(io.StringIO(text))
+
+    def test_integer_fields_keep_sign_padding_and_leading_zeros(self):
+        text = "job_id,arrival_time,length_mi\n +3 ,0.0, 0007\n"
+        assert read_jobs_csv(io.StringIO(text)) == [Job(3, 0.0, 7)]
+
+    @pytest.mark.parametrize("column,name", [("job_id", "job id"), ("length_mi", "job length")])
+    @pytest.mark.parametrize("digits", [20, 5000])
+    def test_overlong_integers_fail_naming_the_field(self, column, name, digits):
+        # 5000 digits is past int()'s default digit limit, which raises ValueError
+        big = "9" * digits
+        row = f"{big},0.0,5" if column == "job_id" else f"1,0.0,{big}"
+        text = f"job_id,arrival_time,length_mi\n0,0,7\n{row}\n"
+        with pytest.raises(CsvFormatError, match=f"^line 3: {name} must fit a 64-bit integer$"):
+            read_jobs_csv(io.StringIO(text))
+
     @pytest.mark.parametrize("bad", ["2.5", "1e3", "true"])
     def test_non_integral_length(self, bad):
         text = f"job_id,arrival_time,length_mi\n0,0,10\n1,0,{bad}\n"
