@@ -8,6 +8,10 @@ arrival first in ``last-arrival`` mode. The VMs sit in a binary heap of
 scan of all m queues, and tuple order sends ties to the lowest VM id.
 The returned assignment is aligned with the input job list; service order
 within a VM is decided by the evaluator, not by dispatch order.
+
+The job columns and the (arrival, id) order FCFS dispatches in come from
+``problem._job_columns``, shared with the evaluator, which unpacks a tuple
+of jobs once and remembers it.
 """
 
 from __future__ import annotations
@@ -17,34 +21,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .problem import Job, Vm
+from .problem import Job, Vm, _job_columns
 
 __all__ = ["fcfs_schedule", "ljf_schedule", "LJF_MODES"]
 
 LJF_MODES = ("longest", "last-arrival")
 
 
-def _dispatch(jobs, vms, field: str, descending: bool) -> np.ndarray:
-    """Hand out jobs in order of ``field``, ties by id and then by position
-    (a stable lexsort), each to the VM that frees up earliest."""
+def _dispatch(jobs, vms, column: str | None) -> np.ndarray:
+    """Hand out jobs in (arrival, id) order or by decreasing ``column``, ties by id and then by
+    position (a stable lexsort), each to the VM that frees up earliest, at max(ready, arrival)."""
     if not jobs or not vms:
         raise ValueError("jobs and vms must be non-empty")
-    ids = np.array([job.id for job in jobs], dtype=np.int64)
-    values = np.array([getattr(job, field) for job in jobs], float if field == "arrival_time" else np.int64)
+    columns = _job_columns(jobs)
+    order = columns.service_order if column is None else np.lexsort((columns.ids, -getattr(columns, column)))
+    arrivals, lengths, replace = columns.arrival_list, columns.length_list, heapq.heapreplace
     speeds = [vm.speed for vm in vms]
     heap = [(0.0, vm) for vm in range(len(vms))]  # sorted, hence a valid heap
     assignment = [0] * len(jobs)
-    for position in np.lexsort((ids, -values if descending else values)).tolist():
-        job = jobs[position]
+    for position in order.tolist():
         ready, vm = heap[0]
-        heapq.heapreplace(heap, (max(ready, job.arrival_time) + job.length / speeds[vm], vm))
+        arrival = arrivals[position]
+        replace(heap, ((arrival if arrival > ready else ready) + lengths[position] / speeds[vm], vm))
         assignment[position] = vm
     return np.array(assignment, dtype=np.int64)
 
 
 def fcfs_schedule(jobs: Sequence[Job], vms: Sequence[Vm]) -> np.ndarray:
     """First come first served: dispatch by (arrival_time, id)."""
-    return _dispatch(jobs, vms, "arrival_time", descending=False)
+    return _dispatch(jobs, vms, None)
 
 
 def ljf_schedule(jobs: Sequence[Job], vms: Sequence[Vm], mode: str = "longest") -> np.ndarray:
@@ -54,4 +59,4 @@ def ljf_schedule(jobs: Sequence[Job], vms: Sequence[Vm], mode: str = "longest") 
     """
     if mode not in LJF_MODES:
         raise ValueError(f"unknown ljf mode: {mode!r}")
-    return _dispatch(jobs, vms, "length" if mode == "longest" else "arrival_time", descending=True)
+    return _dispatch(jobs, vms, "lengths" if mode == "longest" else "arrivals")

@@ -7,14 +7,15 @@ the whole sweep is reproducible. A process keeps the jobs of the last
 source a cell asked for, a jobs file's path or a generated workload's
 spec, until a cell asks for another one. A sweep runs its cells
 seed-major (seed, then algorithm, then VM count), so each seed's jobs are
-generated once per process rather than once per cell; only the first
-cell of a seed counts that generation in its ``wall_ms``. A sweep over a
-jobs file reads it afresh once, before any cell, and forked workers
-inherit the parsed jobs. Rows are always written sorted by (algorithm,
-num_vms, seed) no matter how cells were executed, and all floats are
-serialized with full round-trip precision, so the results CSV is
-byte-identical across runs and worker counts once ``no_timing`` zeroes
-the wall-clock column.
+generated once per process rather than once per cell, and unpacked into
+columns once, in the seed's first cell, since every cell gets the same
+tuple; only that first cell counts the generation and the unpacking in its
+``wall_ms``. A sweep over a jobs file reads it afresh once, before any
+cell, and forked workers inherit the parsed jobs. Rows are always written
+sorted by (algorithm, num_vms, seed) no matter how cells were executed,
+and all floats are serialized with full round-trip precision, so the
+results CSV is byte-identical across runs and worker counts once
+``no_timing`` zeroes the wall-clock column.
 """
 
 from __future__ import annotations

@@ -7,12 +7,15 @@ arrival, average completion is the mean finish time, and average response
 is the mean wait between arrival and service start.
 
 ``ScheduleSimulator`` unpacks an instance into arrays once so that many
-assignments can be scored cheaply. ``make_objective`` returns one of two
-scorers over random-key vectors: ``BatchScorer``, exact for batch
-instances, scores from integer sums and rescores a few moved jobs without
-a replay (``BatchDraft``); ``_ReplayScorer``, for staggered instances,
-decodes keys straight into the replay's service order, and its drafts
-patch the moved jobs' VM keys and replay once (``_ReplayDraft``).
+assignments can be scored cheaply; the job arrays and the (arrival, id)
+service order come from ``problem._job_columns``, shared with the batch
+scorer and the baselines, which remembers the columns of the last tuple of
+jobs it unpacked. ``make_objective`` returns one of two scorers over
+random-key vectors: ``BatchScorer``, exact for batch instances, scores
+from integer sums and rescores a few moved jobs without a replay
+(``BatchDraft``); ``_ReplayScorer``, for staggered instances, decodes keys
+straight into the replay's service order, and its drafts patch the moved
+jobs' VM keys and replay once (``_ReplayDraft``).
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
 an exact reference.
 """
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .problem import Job, MetricWeights, Vm, decode_random_key
+from .problem import Job, MetricWeights, Vm, _job_columns, decode_random_key
 
 __all__ = [
     "JobTimeline",
@@ -87,11 +90,10 @@ class ScheduleSimulator:
             raise ValueError("jobs and vms must be non-empty")
         self.num_jobs = len(jobs)
         self.num_vms = len(vms)
-        self.arrivals = np.array([j.arrival_time for j in jobs], dtype=float)
-        self.lengths = np.array([j.length for j in jobs], dtype=float)
+        columns = _job_columns(jobs)
+        self.arrivals, self._service_order = columns.arrivals, columns.service_order
+        self.lengths = columns.lengths.astype(float)
         self.speeds = np.array([v.speed for v in vms], dtype=float)
-        ids = np.array([j.id for j in jobs], dtype=np.int64)
-        self._service_order = np.lexsort((ids, self.arrivals))
         self._arrivals_sorted = self.arrivals[self._service_order]
         self._lengths_sorted = self.lengths[self._service_order]
         self._min_arrival = float(self.arrivals.min())
@@ -185,14 +187,13 @@ class BatchScorer:
         self.num_jobs = len(jobs)
         self.num_vms = len(vms)
         self.weights = weights
-        ids = np.array([j.id for j in jobs], dtype=np.int64)
-        lengths = np.array([j.length for j in jobs], dtype=np.int64)
-        self._service_order = np.argsort(ids, kind="stable")
-        self._lengths_by_rank = lengths[self._service_order]
+        columns = _job_columns(jobs)
+        self._service_order = columns.service_order  # id order, as every arrival is zero
+        self._lengths_by_rank = columns.lengths[self._service_order]
         rank = np.empty(self.num_jobs, dtype=np.int64)
         rank[self._service_order] = np.arange(self.num_jobs)
         self._rank = rank.tolist()
-        self._length = lengths.tolist()
+        self._length = columns.length_list
         self._vm_key = np.min_scalar_type(self.num_vms - 1)
         self._speed = [v.speed for v in vms]
         self._class_speed = sorted(set(self._speed))
@@ -205,8 +206,8 @@ class BatchScorer:
     @staticmethod
     def applies(jobs: Sequence[Job]) -> bool:
         """True when every job arrives at zero and the sums fit in int64."""
-        return bool(jobs) and all(j.arrival_time == 0.0 for j in jobs) and (
-            len(jobs) * sum(int(j.length) for j in jobs) < 2**63
+        return bool(jobs) and not (columns := _job_columns(jobs)).arrivals.any() and (
+            len(jobs) * sum(columns.length_list) < 2**63
         )
 
     def _sums(self, assignment: np.ndarray):

@@ -8,6 +8,7 @@ the VM index for the job at position ``d``.
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,6 +28,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; not a bool, nor a float of integral value."""
+    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+
+
 @dataclass(frozen=True)
 class Job:
     """Unit of work: arrival time in seconds, length in machine instructions (MI)."""
@@ -36,19 +42,42 @@ class Job:
     length: int
 
     def __post_init__(self):
+        if not _is_integer(self.id):
+            raise ValueError(f"job id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise ValueError("job id must be nonnegative")
         if self.id >= 2**63:  # the scorers sort ids and sum lengths as int64
             raise ValueError("job id must fit a 64-bit integer")
         if not 0.0 <= self.arrival_time < math.inf:
             raise ValueError("arrival_time must be finite and nonnegative")
-        length = self.length
-        if type(length) is not int and (isinstance(length, bool) or not isinstance(length, numbers.Integral)):
-            raise ValueError(f"length must be an integer number of MI, got {length!r}")
-        if length <= 0:
+        if not _is_integer(self.length):
+            raise ValueError(f"length must be an integer number of MI, got {self.length!r}")
+        if self.length <= 0:
             raise ValueError("length must be positive")
-        if length >= 2**63:
+        if self.length >= 2**63:
             raise ValueError("job length must fit a 64-bit integer")
+
+
+_JobColumns = collections.namedtuple("_JobColumns", "ids arrivals lengths arrival_list length_list service_order")
+_remembered = [(None, None)]  # the last tuple of jobs unpacked, and its columns
+
+
+def _job_columns(jobs: Sequence[Job]) -> _JobColumns:
+    """Ids and lengths (int64) and arrivals (float) of ``jobs``, as arrays and as the lists the
+    dispatch loop reads, and the (arrival, id) service order. The last tuple's columns are remembered
+    by identity, with read-only arrays (the tuple is kept, so its id is not reused); a list never is."""
+    last_jobs, last_columns = _remembered[0]  # one read: a thread storing a new pair cannot split it
+    if jobs is last_jobs:
+        return last_columns
+    ids = np.array([j.id for j in jobs], dtype=np.int64)
+    arrivals = np.array([j.arrival_time for j in jobs], dtype=float)
+    lengths = np.array([j.length for j in jobs], dtype=np.int64)
+    columns = _JobColumns(ids, arrivals, lengths, arrivals.tolist(), lengths.tolist(), np.lexsort((ids, arrivals)))
+    if type(jobs) is tuple:
+        for array in (ids, arrivals, lengths, columns.service_order):
+            array.flags.writeable = False
+        _remembered[0] = (jobs, columns)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -59,6 +88,8 @@ class Vm:
     speed: float
 
     def __post_init__(self):
+        if not _is_integer(self.id):
+            raise ValueError(f"vm id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise ValueError("vm id must be nonnegative")
         if not 0.0 < self.speed < math.inf:

@@ -100,10 +100,7 @@ def generate_workload(spec: WorkloadSpec) -> list[Job]:
         arrivals = np.zeros(spec.job_count)
     else:
         arrivals = np.cumsum(rng.exponential(1.0 / spec.arrival_rate, size=spec.job_count))
-    return [
-        Job(id=i, arrival_time=arrival, length=length)
-        for i, (arrival, length) in enumerate(zip(arrivals.tolist(), lengths.tolist()))
-    ]
+    return list(map(Job, range(spec.job_count), arrivals.tolist(), lengths.tolist()))
 
 
 def generate_fleet(spec: FleetSpec) -> list[Vm]:
@@ -136,10 +133,9 @@ def read_jobs_csv(source) -> list[Job]:
             if len(row) != 3:
                 raise CsvFormatError(f"line {line_num}: expected 3 fields, got {len(row)}")
             job_id = _integer_field(row[0], "job_id", "job id", line_num)
-            try:
-                arrival = float(row[1])
-            except ValueError:
-                raise CsvFormatError(f"line {line_num}: non-numeric field arrival_time") from None
+            if _DECIMAL.fullmatch(row[1]) is None:
+                raise CsvFormatError(f"line {line_num}: non-numeric field arrival_time: {row[1]!r}")
+            arrival = float(row[1])
             length = _integer_field(row[2], "length_mi", "job length", line_num)
             if job_id in seen:
                 raise CsvFormatError(f"line {line_num}: duplicate job_id {job_id}")
@@ -154,6 +150,10 @@ def read_jobs_csv(source) -> list[Job]:
 
 
 _INTEGER = re.compile(r"\s*[+-]?([0-9]+)\s*")
+# ASCII decimal with one optional point and exponent, which every repr(float) is;
+# float() alone would also take digit separators (1_0) and non-ASCII digits. The
+# non-finite words are kept so that Job rejects them as non-finite, naming the field.
+_DECIMAL = re.compile(r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?ai:inf|infinity|nan))\s*")
 
 
 def _integer_field(text: str, column: str, name: str, line_num: int) -> int:

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcasched import (
     Job,
     MetricWeights,
+    ScheduleSimulator,
     Vm,
     assignment_domain,
     decode_random_key,
     evaluate,
+    fcfs_schedule,
+    ljf_schedule,
     make_objective,
 )
+from lcasched.problem import _job_columns
 
 
 class TestDecodeRandomKey:
@@ -168,6 +174,22 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="arrival_time"):
             Job(0, bad, 10)
 
+    @pytest.mark.parametrize("bad", [1.5, 3.0, np.nan, True, np.float64(2.0), np.bool_(True), "7", None])
+    def test_job_id_must_be_integral(self, bad):
+        # 1.5 used to be truncated to 1 by the replay, tying it with job 1
+        with pytest.raises(ValueError, match="^job id must be an integer, got "):
+            Job(bad, 0.0, 10)
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, True, np.float64(2.0), "7", None])
+    def test_vm_id_must_be_integral(self, bad):
+        with pytest.raises(ValueError, match="^vm id must be an integer, got "):
+            Vm(bad, 1.0)
+
+    @pytest.mark.parametrize("id_", [np.int64(5), np.int32(5), np.uint16(5), 5])
+    def test_ids_accept_integers(self, id_):
+        assert Job(id_, 0.0, 7).id == 5
+        assert Vm(id_, 1.0).id == 5
+
     def test_vm_validation(self):
         with pytest.raises(ValueError):
             Vm(0, 0.0)
@@ -191,3 +213,67 @@ class TestDomainTypes:
     def test_weights_must_be_finite(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} weight must be finite"):
             MetricWeights(**{name: bad})
+
+
+def _results(jobs, vms):
+    """Every result computed from a job sequence's columns, in comparable form."""
+    x = np.linspace(0.0, len(vms), len(jobs), endpoint=False)[::-1].copy()
+    timeline, metrics = ScheduleSimulator(jobs, vms).run(decode_random_key(x, len(vms)))
+    return (
+        fcfs_schedule(jobs, vms).tolist(),
+        ljf_schedule(jobs, vms).tolist(),
+        ljf_schedule(jobs, vms, mode="last-arrival").tolist(),
+        timeline.start_times.tolist(),
+        timeline.finish_times.tolist(),
+        metrics,
+        make_objective(jobs, vms, MetricWeights(1.0, 1.0, 1.0))(x),
+    )
+
+
+class TestJobColumns:
+    """A tuple's columns are remembered by identity; a list's never are."""
+
+    VMS = [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)]
+
+    def test_a_list_changed_between_calls_gets_its_new_results(self):
+        jobs = [Job(i, float(i % 3), 10 + 7 * i) for i in range(9)]
+        before = _results(jobs, self.VMS)
+        jobs[4] = Job(4, 0.5, 900)
+        jobs.reverse()
+        after = _results(jobs, self.VMS)
+        assert after == _results(tuple(jobs), self.VMS) != before
+
+    def test_tuples_with_the_same_ids_get_their_own_results(self):
+        short = tuple(Job(i, 0.0, 10 + i) for i in range(6))
+        long = tuple(Job(i, 0.0, 1000 - i) for i in range(6))
+        expected = [_results(list(jobs), self.VMS) for jobs in (short, long)]
+        for _ in range(2):
+            assert [_results(jobs, self.VMS) for jobs in (short, long)] == expected
+            assert [_results(jobs, self.VMS) for jobs in (long, short)] == expected[::-1]
+
+    def test_remembered_arrays_are_read_only(self):
+        jobs = tuple(Job(i, 0.5 * i, 10) for i in range(4))
+        columns = _job_columns(jobs)
+        assert _job_columns(jobs) is columns
+        for array in (columns.ids, columns.arrivals, columns.lengths, columns.service_order):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        listed = list(jobs)
+        assert _job_columns(listed) is not _job_columns(listed)
+        assert _job_columns(listed).arrivals.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_tuple_and_list_give_identical_results(self, data):
+        # staggered and tied arrivals, ids out of position order
+        num_jobs = data.draw(st.integers(1, 12))
+        ids = data.draw(st.permutations(range(num_jobs)))
+        arrivals = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1.5, 2.0, 7.25]), min_size=num_jobs, max_size=num_jobs))
+        lengths = data.draw(st.lists(st.integers(1, 50), min_size=num_jobs, max_size=num_jobs))
+        speeds = data.draw(st.lists(st.sampled_from([0.5, 1.0, 3.7]), min_size=1, max_size=4))
+        jobs = [Job(i, a, n) for i, a, n in zip(ids, arrivals, lengths)]
+        vms = [Vm(v, s) for v, s in enumerate(speeds)]
+        expected = _results(jobs, vms)
+        as_tuple = tuple(jobs)
+        assert _results(as_tuple, vms) == expected  # unpacks the tuple, then reuses its columns
+        assert _results(as_tuple, vms) == expected  # every column remembered

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import stat
 import threading
 
@@ -214,6 +215,25 @@ class TestJobsCsv:
         text = "job_id,arrival_time,length_mi\n0,zero,10\n"
         with pytest.raises(CsvFormatError, match="line 2.*non-numeric"):
             read_jobs_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("bad", ["1_0", "\u0661", "\u0661.5", "0x10", "1 0", "", "+", ".", "1e", "1.2.3", "\u0131nf"])
+    def test_arrival_takes_ascii_decimal_only(self, bad):
+        # float() alone reads 1_0 as 10.0 and an Arabic-Indic one as 1.0
+        text = f"job_id,arrival_time,length_mi\n0,0,7\n1,{bad},5\n"
+        with pytest.raises(CsvFormatError, match=f"^line 3: non-numeric field arrival_time: {re.escape(repr(bad))}$"):
+            read_jobs_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("arrival", [1e-05, 5e-324, 1.7976931348623157e308, 0.1, 10.0, 0.0, 123456789.5])
+    def test_every_written_arrival_reads_back(self, arrival):
+        jobs = [Job(0, arrival, 5), Job(1, 0.0, 7)]
+        sink = io.StringIO()
+        write_jobs_csv(jobs, sink)
+        assert read_jobs_csv(io.StringIO(sink.getvalue())) == jobs
+
+    @pytest.mark.parametrize("text,value", [(" 2.5 ", 2.5), ("+3", 3.0), ("5.", 5.0), (".5", 0.5), ("1E2", 100.0)])
+    def test_arrival_keeps_sign_padding_and_exponent(self, text, value):
+        csv_text = f"job_id,arrival_time,length_mi\n0,{text},7\n"
+        assert read_jobs_csv(io.StringIO(csv_text)) == [Job(0, value, 7)]
 
     @pytest.mark.parametrize("column", ["job_id", "length_mi"])
     @pytest.mark.parametrize("bad", ["1_0", "1__0", "\u0661\u0660", "0x10", "1 0", "", "+"])
