@@ -131,9 +131,6 @@ class ResultRow:
     def sort_key(self):
         return (self.algorithm, self.num_vms, self.seed)
 
-    def csv_fields(self) -> list[str]:
-        return _csv_fields(self)
-
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -147,9 +144,6 @@ class SummaryRow:
     std_avg_response: float
     mean_objective_value: float
     std_objective_value: float
-
-    def csv_fields(self) -> list[str]:
-        return _csv_fields(self)
 
 
 def _csv_fields(row) -> list[str]:
@@ -301,11 +295,11 @@ def summary_path_for(out) -> Path:
 
 
 def write_results_csv(rows: Sequence[ResultRow], sink) -> None:
-    _write_csv(RESULTS_CSV_HEADER, [row.csv_fields() for row in rows], sink)
+    _write_csv(RESULTS_CSV_HEADER, [_csv_fields(row) for row in rows], sink)
 
 
 def write_summary_csv(summary: Sequence[SummaryRow], sink) -> None:
-    _write_csv(SUMMARY_CSV_HEADER, [row.csv_fields() for row in summary], sink)
+    _write_csv(SUMMARY_CSV_HEADER, [_csv_fields(row) for row in summary], sink)
 
 
 def _check_writable(directory: Path) -> None:

@@ -7,15 +7,16 @@ arrival, average completion is the mean finish time, and average response
 is the mean wait between arrival and service start.
 
 ``ScheduleSimulator`` unpacks an instance into arrays once so that many
-assignments can be scored cheaply; the job arrays and the (arrival, id)
-service order come from ``problem._job_columns``, shared with the batch
-scorer and the baselines, which remembers the columns of the last tuple of
-jobs it unpacked. ``make_objective`` returns one of two scorers over
-random-key vectors: ``BatchScorer``, exact for batch instances, scores
-from integer sums and rescores a few moved jobs without a replay
-(``BatchDraft``); ``_ReplayScorer``, for staggered instances, decodes keys
-straight into the replay's service order, and its drafts patch the moved
-jobs' VM keys and replay once (``_ReplayDraft``).
+assignments can be scored cheaply; the job arrays, the (arrival, id)
+service order and its inverse come from ``problem._job_columns``, shared
+with the scorers and the baselines, which remembers the columns of the
+last tuple of jobs it unpacked. ``make_objective`` returns one of two
+scorers over random-key vectors: ``BatchScorer``, exact for batch
+instances, scores from integer sums and rescores a few moved jobs without
+a replay (``BatchDraft``); ``_ReplayScorer``, for staggered instances,
+decodes keys straight into the replay's service order; its drafts
+(``_ReplayDraft``, an ``lca._CopyDraft``) patch a copy of those keys and
+replay it.
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
 an exact reference.
 """
@@ -31,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .lca import _CopyDraft
 from .problem import Job, MetricWeights, Vm, _job_columns, decode_random_key
 
 __all__ = [
@@ -190,9 +192,7 @@ class BatchScorer:
         columns = _job_columns(jobs)
         self._service_order = columns.service_order  # id order, as every arrival is zero
         self._lengths_by_rank = columns.lengths[self._service_order]
-        rank = np.empty(self.num_jobs, dtype=np.int64)
-        rank[self._service_order] = np.arange(self.num_jobs)
-        self._rank = rank.tolist()
+        self._rank = columns.place
         self._length = columns.length_list
         self._vm_key = np.min_scalar_type(self.num_vms - 1)
         self._speed = [v.speed for v in vms]
@@ -259,8 +259,8 @@ class BatchScorer:
         """Draft scorer anchored at formation ``x`` (protocol in ``lca.optimize``).
 
         A class attribute on purpose: a wrapper made with ``functools.wraps``
-        copies instance attributes only, so wrapped objectives take the
-        plain call path.
+        copies instance attributes only, so a wrapped objective's drafts
+        call it on full vectors.
         """
         return BatchDraft(self, decode_random_key(x, self.num_vms))
 
@@ -377,10 +377,7 @@ class _ReplayScorer:
         self._simulator = ScheduleSimulator(jobs, vms)
         self.weights = weights
         self.num_vms = len(vms)
-        order = self._simulator._service_order
-        place = np.empty_like(order)
-        place[order] = np.arange(order.size)
-        self._place = place.tolist()  # job position -> service position
+        self._place = _job_columns(jobs).place
 
     def _vm_keys(self, x: np.ndarray) -> np.ndarray:
         """Each job's VM in service order, as the replay's narrow VM keys."""
@@ -401,32 +398,22 @@ class _ReplayScorer:
         return _ReplayDraft(self, self._vm_keys(x))
 
 
-class _ReplayDraft:
-    """One formation's service-order VM keys, and drafts that patch a few of them."""
+class _ReplayDraft(_CopyDraft):
+    """One formation's service-order VM keys; a draft patches the moved jobs'
+    keys in a copy and replays it."""
 
     def __init__(self, scorer: _ReplayScorer, vm_sorted: np.ndarray):
-        self._scorer = scorer
-        self._vm_sorted = vm_sorted
-        self.fitness = scorer._score(vm_sorted)
-        self._pending = (vm_sorted, self.fitness)
+        self._place, self._top = scorer._place, scorer.num_vms - 1
+        super().__init__(scorer._score, vm_sorted)
 
-    def draft(self, positions: Sequence[int], keys: Sequence[float]) -> float:
-        """Score the anchor with job ``positions[i]`` on the VM key ``keys[i]``
-        decodes to (``decode_random_key``, one key at a time)."""
+    def _write(self, vm_sorted: np.ndarray, positions: Sequence[int], keys: Sequence[float]) -> None:
+        """Put job ``positions[i]`` on the VM key ``keys[i]`` decodes to
+        (``decode_random_key``, one key at a time)."""
         if not all(map(math.isfinite, keys)):
             raise ValueError("keys must be finite")
-        scorer = self._scorer
-        place, top = scorer._place, scorer.num_vms - 1
-        vm_sorted = self._vm_sorted.copy()
+        place, top = self._place, self._top
         for p, key in zip(positions, keys):
             vm_sorted[place[p]] = min(max(math.floor(key), 0), top)
-        value = scorer._score(vm_sorted)
-        self._pending = (vm_sorted, value)
-        return value
-
-    def commit(self) -> None:
-        """Make the last draft the anchor."""
-        self._vm_sorted, self.fitness = self._pending
 
 
 def _segmented_cummax(values: np.ndarray, queue: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "win_probability",
     "play_week",
     "truncated_geometric",
-    "change_count",
     "swot_formation",
     "swot_update",
     "optimize",
@@ -240,11 +239,6 @@ def _count_quantile(dimension: int, change_prob: float):
     return lambda r: min(dimension, max(1, math.ceil(math.log1p(-r * total) / log_keep)))
 
 
-def change_count(rng: np.random.Generator, dimension: int, change_prob: float) -> int:
-    """Number of formation slots to rebuild this week; always in [1, dimension]."""
-    return int(truncated_geometric(rng.random(), dimension, change_prob))
-
-
 def _floyd_slots(dimension: int, uniforms: list[float]) -> list[int]:
     # Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987) of len(uniforms)
     # distinct slots: for j from dimension - count to dimension - 1, take
@@ -371,6 +365,29 @@ class OptimizeResult:
     evaluations: int
 
 
+class _CopyDraft:
+    """Draft scorer over a plain objective, anchored at formation ``x`` (protocol
+    in ``optimize``): a draft writes the keys into a copy of the anchor and scores
+    it, and a commit keeps that copy. A subclass patches by overriding ``_write``."""
+
+    def __init__(self, objective: Objective, x: np.ndarray):
+        self._objective, self._anchor = objective, x
+        self.fitness = objective(x)
+        self._pending = (x, self.fitness)
+
+    def _write(self, copy: np.ndarray, slots: list[int], keys: list[float]) -> None:
+        copy[slots] = keys
+
+    def draft(self, slots: list[int], keys: list[float]) -> float:
+        copy = self._anchor.copy()
+        self._write(copy, slots, keys)
+        self._pending = (copy, self._objective(copy))
+        return self._pending[1]
+
+    def commit(self) -> None:
+        self._anchor, self.fitness = self._pending
+
+
 def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> OptimizeResult:
     """Minimize ``objective`` over ``domain`` with a league championship run.
 
@@ -388,21 +405,20 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     ``max_evaluations`` is spent, whichever comes first; a budget spent
     mid-week commits the drafts already scored.
 
-    A draft rebuilds a few drawn slots (see ``swot_update``), so the league
-    is sparse: dense personal bests, plus each team's last draft as slot
-    overrides when it did not become the team's best. Drafts read this
-    week's state at their slots; bests and overrides change at week end.
+    A draft rebuilds a few drawn slots, so the league is sparse: dense
+    personal bests, plus each team's last draft as slot overrides when it
+    did not become the team's best. Drafts read this week's state at their
+    slots; bests and overrides change at week end.
 
-    If the objective's class defines ``delta_scorer(x)``, each team keeps
-    the scorer it returns, anchored at the team's personal best: its
-    ``fitness`` is the objective at ``x``, ``draft(slots, keys)`` scores the
+    Each team scores its drafts with a scorer anchored at its personal best:
+    ``fitness`` is the objective there, ``draft(slots, keys)`` scores the
     anchor with ``keys[i]`` at slot ``slots[i]`` (the drawn slots in draw
     order, never repeated; a key may equal the anchor's), and ``commit()``
-    moves the anchor to the last draft, which happens whenever a draft
-    becomes the team's best. The scorer must return exactly what the
-    objective would, so the run is the same either way. Every fitness,
-    from either path, must be finite: a NaN or infinite value raises
-    ``ValueError`` naming the evaluation.
+    moves the anchor to the last draft when it becomes the team's best. The
+    scorer is ``delta_scorer(x)`` if the objective's class defines it, which
+    must return exactly what the objective would; otherwise a draft calls
+    the objective on a patched copy of the anchor. Every fitness must be
+    finite: a NaN or infinite value raises ``ValueError`` naming the evaluation.
     """
     league = params.league_size
     n = domain.dimension
@@ -410,8 +426,7 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
 
     rng = np.random.default_rng(params.seed)
     formations = rng.uniform(domain.lower, domain.upper, size=(league, n))
-    delta_scorer = getattr(type(objective), "delta_scorer", None)
-    scorers = [delta_scorer(objective, x) for x in formations] if delta_scorer else None
+    scorer_of = getattr(type(objective), "delta_scorer", _CopyDraft)
     evaluations = 0
 
     def checked(value) -> float:
@@ -422,20 +437,18 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
             raise ValueError(f"objective returned {value} at evaluation {evaluations}")
         return value
 
-    fitness = [checked(scorers[i].fitness if scorers else objective(x)) for i, x in enumerate(formations)]
+    scorers, fitness = [], []
+    for x in formations:
+        scorers.append(scorer_of(objective, x))
+        fitness.append(checked(scorers[-1].fitness))
     best_fitness = fitness.copy()
     ideal_fitness = min(fitness)
-    best_formation = formations[fitness.index(ideal_fitness)].copy()
+    leader = fitness.index(ideal_fitness)
     history = [ideal_fitness]
     bests = formations.copy()
     best_rows = [memoryview(row) for row in bests]  # scalar reads as Python floats
     overrides: list[dict[int, float]] = [{} for _ in range(league)]
     lower, upper = domain.lower.tolist(), domain.upper.tolist()
-
-    def full(team: int, slots: list[int], keys: list[float]) -> np.ndarray:
-        x = bests[team].copy()
-        x[slots] = keys
-        return x
 
     draft = _drafter(params, n)
     schedule = generate_league_schedule(league)
@@ -460,15 +473,13 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
                 (best[s], own.get(s, best[s]), over_o.get(s, row_o[s]), over_r.get(s, row_r[s]), lower[s], upper[s])
                 for s in slots
             ))
-            candidate = None if scorers else full(i, slots, keys)
-            f = checked(scorers[i].draft(slots, keys) if scorers else objective(candidate))
+            f = checked(scorers[i].draft(slots, keys))
             if improved := f < best_fitness[i]:
                 best_fitness[i] = f
-                if scorers:
-                    scorers[i].commit()
+                scorers[i].commit()
             if f < ideal_fitness:
-                ideal_fitness = f
-                best_formation = full(i, slots, keys) if candidate is None else candidate
+                # a new ideal is also team i's new best, written into bests at week end
+                ideal_fitness, leader = f, i
             drafts.append((i, slots, keys, f, improved))
         for i, slots, keys, f, improved in drafts:
             fitness[i] = f
@@ -477,4 +488,4 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
                 bests[i, slots] = keys
         history.append(ideal_fitness)
 
-    return OptimizeResult(best_formation, ideal_fitness, history, evaluations)
+    return OptimizeResult(bests[leader].copy(), ideal_fitness, history, evaluations)

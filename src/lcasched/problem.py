@@ -33,6 +33,11 @@ def _is_integer(value) -> bool:
     return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
 
 
+def _is_real(value) -> bool:
+    """An int, a float or a numpy real; not a bool."""
+    return type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+
+
 @dataclass(frozen=True)
 class Job:
     """Unit of work: arrival time in seconds, length in machine instructions (MI)."""
@@ -48,8 +53,8 @@ class Job:
             raise ValueError("job id must be nonnegative")
         if self.id >= 2**63:  # the scorers sort ids and sum lengths as int64
             raise ValueError("job id must fit a 64-bit integer")
-        if not 0.0 <= self.arrival_time < math.inf:
-            raise ValueError("arrival_time must be finite and nonnegative")
+        if not (_is_real(self.arrival_time) and 0.0 <= self.arrival_time < math.inf):
+            raise ValueError(f"arrival_time must be finite and nonnegative (real, not bool), got {self.arrival_time!r}")
         if not _is_integer(self.length):
             raise ValueError(f"length must be an integer number of MI, got {self.length!r}")
         if self.length <= 0:
@@ -58,21 +63,23 @@ class Job:
             raise ValueError("job length must fit a 64-bit integer")
 
 
-_JobColumns = collections.namedtuple("_JobColumns", "ids arrivals lengths arrival_list length_list service_order")
+_JobColumns = collections.namedtuple("_JobColumns", "ids arrivals lengths arrival_list length_list service_order place")
 _remembered = [(None, None)]  # the last tuple of jobs unpacked, and its columns
 
 
 def _job_columns(jobs: Sequence[Job]) -> _JobColumns:
-    """Ids and lengths (int64) and arrivals (float) of ``jobs``, as arrays and as the lists the
-    dispatch loop reads, and the (arrival, id) service order. The last tuple's columns are remembered
-    by identity, with read-only arrays (the tuple is kept, so its id is not reused); a list never is."""
+    """Ids and lengths (int64) and arrivals (float) of ``jobs``, as arrays and as the lists the dispatch
+    loop reads, the (arrival, id) service order, and ``place``, its inverse (job -> service position), as
+    a list. The last tuple's columns are remembered by identity, with read-only arrays (the tuple is kept,
+    so its id is not reused); a list never is."""
     last_jobs, last_columns = _remembered[0]  # one read: a thread storing a new pair cannot split it
     if jobs is last_jobs:
         return last_columns
     ids = np.array([j.id for j in jobs], dtype=np.int64)
     arrivals = np.array([j.arrival_time for j in jobs], dtype=float)
     lengths = np.array([j.length for j in jobs], dtype=np.int64)
-    columns = _JobColumns(ids, arrivals, lengths, arrivals.tolist(), lengths.tolist(), np.lexsort((ids, arrivals)))
+    order = np.lexsort((ids, arrivals))
+    columns = _JobColumns(ids, arrivals, lengths, arrivals.tolist(), lengths.tolist(), order, order.argsort().tolist())
     if type(jobs) is tuple:
         for array in (ids, arrivals, lengths, columns.service_order):
             array.flags.writeable = False
@@ -92,8 +99,8 @@ class Vm:
             raise ValueError(f"vm id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise ValueError("vm id must be nonnegative")
-        if not 0.0 < self.speed < math.inf:
-            raise ValueError("speed must be finite and positive")
+        if not (_is_real(self.speed) and 0.0 < self.speed < math.inf):
+            raise ValueError(f"speed must be finite and positive (real, not bool), got {self.speed!r}")
 
 
 @dataclass(frozen=True)

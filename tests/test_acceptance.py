@@ -19,7 +19,6 @@ from lcasched import (
     Vm,
     assignment_domain,
     brute_force_optimal,
-    change_count,
     evaluate,
     fcfs_schedule,
     generate_league_schedule,
@@ -90,7 +89,7 @@ def test_ac1_figure_ordering_desk_scale(tmp_path):
 @pytest.mark.paper_scale
 @pytest.mark.skipif(
     os.environ.get("RUN_PAPER_SCALE") != "1",
-    reason="paper-scale sweep (~3 min); set RUN_PAPER_SCALE=1 to enable",
+    reason="paper-scale sweep (1-2 min); set RUN_PAPER_SCALE=1 to enable",
 )
 def test_ac2_figure_ordering_paper_scale(tmp_path):
     config = ExperimentConfig(
@@ -191,7 +190,7 @@ def test_ac4_invariant_suites():
         team = Team(vectors[0], 1.0, vectors[1], 0.5)
         draw_rng = np.random.default_rng(trial)
         mirror = np.random.default_rng(trial)
-        count = change_count(mirror, 10, params.change_prob)
+        count = truncated_geometric(mirror.random(), 10, params.change_prob)
         mask = np.zeros(10, dtype=bool)
         mask[mirror.permutation(10)[:count]] = True
         new = swot_update(

@@ -9,7 +9,6 @@ from lcasched import (
     BoxDomain,
     LcaParams,
     Team,
-    change_count,
     play_week,
     swot_formation,
     swot_update,
@@ -144,7 +143,7 @@ class TestChangeCount:
 
     def test_drawn_counts_stay_in_range(self):
         rng = np.random.default_rng(5)
-        counts = {change_count(rng, 4, 0.4) for _ in range(2000)}
+        counts = {truncated_geometric(rng.random(), 4, 0.4) for _ in range(2000)}
         assert counts <= {1, 2, 3, 4}
         assert 1 in counts
 
@@ -171,7 +170,7 @@ def changed_slots(dimension, change_prob, calls):
     for _ in range(calls):
         mirror.bit_generator.state = rng.bit_generator.state
         new = swot_update(team, opponent, rival_opponent, True, False, params, domain, rng)
-        yield new != 0.0, change_count(mirror, dimension, change_prob)
+        yield new != 0.0, truncated_geometric(mirror.random(), dimension, change_prob)
 
 
 class TestChangedSlots:
@@ -289,7 +288,7 @@ class TestSwotUpdate:
             # recover the mask the update will use.
             rng = np.random.default_rng(1000 + trial)
             mirror = np.random.default_rng(1000 + trial)
-            count = change_count(mirror, 12, params.change_prob)
+            count = truncated_geometric(mirror.random(), 12, params.change_prob)
             mask = np.zeros(12, dtype=bool)
             mask[mirror.permutation(12)[:count]] = True
             new = swot_update(
@@ -332,13 +331,13 @@ class TestSwotUpdate:
                 won, rival_won = bool(trial & 1), bool(trial & 2)
                 rng = np.random.default_rng(5000 + trial)
                 mirror = np.random.default_rng(5000 + trial)
-                count = change_count(mirror, dimension, params.change_prob)
+                count = truncated_geometric(mirror.random(), dimension, params.change_prob)
                 mask = np.zeros(dimension, dtype=bool)
                 mask[draw_slots(mirror, count)] = True
                 gains = mirror.random((2, count))
                 # scatter the block gains onto the drawn slots, in draw order
                 mirror2 = np.random.default_rng(5000 + trial)
-                change_count(mirror2, dimension, params.change_prob)
+                mirror2.random()  # the change count's quantile
                 changed = draw_slots(mirror2, count)
                 gain_rival = np.zeros(dimension)
                 gain_opponent = np.zeros(dimension)

@@ -110,18 +110,22 @@ def test_budget_is_respected_exactly_or_at_init(budget):
 
 
 def test_budget_spent_mid_week_commits_the_drafts_already_scored():
-    values = []
+    # under seed 4 an initial team keeps the lead; under seed 9 the last draft scored takes it
+    for seed in (4, 9):
+        values = []
 
-    def spy(x):
-        values.append(sphere(x))
-        return values[-1]
+        def spy(x):
+            values.append(sphere(x))
+            return values[-1]
 
-    params = LcaParams(league_size=4, seasons=3, seed=4, max_evaluations=6)
-    result = optimize(spy, BoxDomain.cube(2, 0.0, 10.0), params)
-    # four initial evaluations, then two of the first week's four drafts
-    assert len(values) == result.evaluations == 6
-    assert result.history == [min(values[:4]), min(values)]
-    assert result.best_fitness == min(values)
+        params = LcaParams(league_size=4, seasons=3, seed=seed, max_evaluations=6)
+        result = optimize(spy, BoxDomain.cube(2, 0.0, 10.0), params)
+        # four initial evaluations, then two of the first week's four drafts
+        assert len(values) == result.evaluations == 6
+        assert result.history == [min(values[:4]), min(values)]
+        assert result.best_fitness == min(values)
+        # the formation is the leader's best, written at week end although the week was cut short
+        assert sphere(result.best_formation) == result.best_fitness
 
 
 def test_budget_below_league_size_rejected():
@@ -180,7 +184,7 @@ def test_delta_scored_run_equals_plain_run(num_jobs, num_vms, weights, seed):
     delta = optimize(objective, domain, params)
     plain = optimize(lambda x: objective(x), domain, params)
     assert_same_result(delta, plain)
-    # a wrapper made with functools.wraps copies no class attribute, so it takes the plain path
+    # a wrapper made with functools.wraps copies no class attribute, so its drafts call it
     wrapped = optimize(functools.wraps(objective)(lambda x: objective(x)), domain, params)
     assert_same_result(delta, wrapped)
 
@@ -285,6 +289,12 @@ class TestNonFiniteFitness:
     def test_rejected_at_first_evaluation(self, bad):
         with pytest.raises(ValueError, match="evaluation 1$"):
             optimize(lambda x: bad, BoxDomain.cube(3, 0.0, 1.0), LcaParams(league_size=4, seasons=2, seed=0))
+
+    def test_nan_at_an_initial_evaluation_stops_the_run_there(self):
+        objective = CountingObjective(lambda x: np.nan if objective.calls == 2 else sphere(x))
+        with pytest.raises(ValueError, match="nan at evaluation 2$"):
+            optimize(objective, BoxDomain.cube(3, 0.0, 1.0), LcaParams(league_size=4, seasons=5, seed=0))
+        assert objective.calls == 2
 
     def test_one_nan_mid_run_names_its_evaluation(self):
         objective = CountingObjective(lambda x: np.nan if objective.calls == 7 else sphere(x))

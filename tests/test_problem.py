@@ -174,6 +174,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="arrival_time"):
             Job(0, bad, 10)
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1", None, 1 + 0j])
+    def test_job_arrival_must_be_a_real_number(self, bad):
+        with pytest.raises(ValueError, match=r"^arrival_time must be finite and nonnegative \(real, not bool\), got "):
+            Job(0, bad, 10)
+
     @pytest.mark.parametrize("bad", [1.5, 3.0, np.nan, True, np.float64(2.0), np.bool_(True), "7", None])
     def test_job_id_must_be_integral(self, bad):
         # 1.5 used to be truncated to 1 by the replay, tying it with job 1
@@ -200,6 +205,15 @@ class TestDomainTypes:
     def test_vm_speed_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="speed"):
             Vm(0, bad)
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), "1", None, 1 + 0j])
+    def test_vm_speed_must_be_a_real_number(self, bad):
+        with pytest.raises(ValueError, match=r"^speed must be finite and positive \(real, not bool\), got "):
+            Vm(0, bad)
+
+    @pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2)])
+    def test_arrival_and_speed_accept_real_numbers(self, value):
+        assert Job(0, value, 10).arrival_time == Vm(0, value).speed == 2.0
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
