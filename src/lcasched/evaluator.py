@@ -13,8 +13,8 @@ with the scorers and the baselines, which remembers the columns of the
 last tuple of jobs it unpacked. ``make_objective`` returns one of two
 scorers over random-key vectors: ``BatchScorer``, exact for batch
 instances, scores from integer sums and rescores a few moved jobs without
-a replay (``BatchDraft``); ``_ReplayScorer``, for staggered instances,
-decodes keys straight into the replay's service order; its drafts
+a replay (``BatchDraft``); ``_ReplayScorer``, the ``ScheduleSimulator``
+of a staggered instance, decodes keys into its service order; its drafts
 (``_ReplayDraft``, an ``lca._CopyDraft``) patch a copy of those keys and
 replay it.
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
@@ -177,7 +177,7 @@ class BatchScorer:
     integer sums, never on the order or layout they were computed in.
     A call scores key vector x as ``decode_random_key(x, num_vms)``;
     ``delta_scorer`` keeps one formation's per-VM state so that moving k
-    jobs is rescored in O(k * jobs per VM + k**2) steps (see ``BatchDraft``),
+    jobs is rescored in O(k * jobs per VM) steps (see ``BatchDraft``),
     not O(n), giving the same float as a call on the moved keys.
     """
 
@@ -272,14 +272,14 @@ class BatchDraft:
     lengths in that order. With S_v written as T_v + sum over pairs of v's
     jobs of the earlier job's length, taking a job j off v lowers S_v by
     (lengths of v's jobs before j) + L_j * (v's jobs from j on), and
-    putting it on v raises S_v by the same terms counted against v's jobs;
-    ``bisect`` finds j's place and ``sum`` adds the lengths before it, so a
-    commit only deletes and inserts list items. Moves that share a VM are
-    corrected pairwise: two jobs leaving or joining the same VM give back
-    the earlier one's length, and one leaving where the other joins takes
-    it. ``draft`` decodes each moved job's key and scores the moved
-    assignment without changing the anchor; ``commit`` moves the anchor to
-    the last draft.
+    putting it on v raises S_v by the same terms counted against v's jobs.
+    ``draft`` decodes each moved job's key and applies the moves in turn,
+    deleting and inserting at ``bisect`` indices, so each move is scored
+    against the lists as the earlier moves left them; it then undoes them
+    in reverse order, leaving the anchor exactly as it was. ``commit``
+    re-applies the moves at their recorded indices. No position may repeat
+    in a draft: a repeated job would be looked up on a VM it has already
+    left, corrupting the anchor's lists.
     """
 
     def __init__(self, scorer: BatchScorer, assignment: np.ndarray):
@@ -317,31 +317,26 @@ class BatchDraft:
             c = class_of[a]
             weighted[c] -= sum(lengths[a][:i]) + size * (len(here) - i)
             totals[c] -= size
+            del here[i], lengths[a][i]
             here = ranks[b]
-            i = bisect_left(here, r)
+            j = bisect_left(here, r)
             c = class_of[b]
-            weighted[c] += sum(lengths[b][:i]) + size * (len(here) - i + 1)
+            weighted[c] += sum(lengths[b][:j]) + size * (len(here) - j + 1)
             totals[c] += size
-            moves.append((p, a, b, r, size))
-        for x in range(1, len(moves)):
-            _, a, b, r, size = moves[x]
-            for _, a2, b2, r2, size2 in moves[:x]:
-                earlier = size if r < r2 else size2
-                if a == a2:
-                    weighted[class_of[a]] += earlier
-                elif a == b2:
-                    weighted[class_of[a]] -= earlier
-                if b == b2:
-                    weighted[class_of[b]] += earlier
-                elif b == a2:
-                    weighted[class_of[b]] -= earlier
+            here.insert(j, r)
+            lengths[b].insert(j, size)
+            moves.append((p, a, i, b, j, r, size))
         vm_totals = self._totals
         if scorer.weights.makespan:
             vm_totals = vm_totals.copy()
-            for _, a, b, _, size in moves:
+            for _, a, _, b, _, _, size in moves:
                 vm_totals[a] -= size
                 vm_totals[b] += size
         value = scorer._value(weighted, totals, vm_totals)
+        for _, a, i, b, j, r, size in reversed(moves):
+            del ranks[b][j], lengths[b][j]
+            ranks[a].insert(i, r)
+            lengths[a].insert(i, size)
         self._pending = (moves, weighted, totals, value)
         return value
 
@@ -349,12 +344,10 @@ class BatchDraft:
         """Make the last draft the anchor."""
         moves, weighted, totals, value = self._pending
         ranks, lengths, vm_totals = self._ranks, self._lengths, self._totals
-        for p, a, b, r, size in moves:
-            i = bisect_left(ranks[a], r)
+        for p, a, i, b, j, r, size in moves:
             del ranks[a][i], lengths[a][i]
-            i = bisect_left(ranks[b], r)
-            ranks[b].insert(i, r)
-            lengths[b].insert(i, size)
+            ranks[b].insert(j, r)
+            lengths[b].insert(j, size)
             vm_totals[a] -= size
             vm_totals[b] += size
             self._assignment[p] = b
@@ -362,32 +355,30 @@ class BatchDraft:
         self._pending = ((), weighted, totals, value)
 
 
-class _ReplayScorer:
+class _ReplayScorer(ScheduleSimulator):
     """Weighted objective of a staggered instance, over random-key vectors.
 
     A call decodes the keys in the replay's service order, with no
-    assignment check or gather, and replays them
-    (``ScheduleSimulator._replay_sorted``); metrics of zero weight are not
-    computed. ``delta_scorer`` keeps one formation's VM keys so that a draft
-    patches only the moved jobs' keys and reruns the same replay, so a draft
-    equals a call bit for bit.
+    assignment check or gather, and replays them (``_replay_sorted``);
+    metrics of zero weight are not computed. ``delta_scorer`` keeps one
+    formation's VM keys so that a draft patches only the moved jobs' keys
+    and reruns the same replay, so a draft equals a call bit for bit.
     """
 
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
-        self._simulator = ScheduleSimulator(jobs, vms)
+        super().__init__(jobs, vms)
         self.weights = weights
-        self.num_vms = len(vms)
         self._place = _job_columns(jobs).place
 
     def _vm_keys(self, x: np.ndarray) -> np.ndarray:
         """Each job's VM in service order, as the replay's narrow VM keys."""
         x = np.asarray(x)
-        if x.shape != (self._simulator.num_jobs,):
+        if x.shape != (self.num_jobs,):
             raise ValueError("need one key per job")
-        return decode_random_key(x.take(self._simulator._service_order), self.num_vms).astype(self._simulator._vm_key)
+        return decode_random_key(x.take(self._service_order), self.num_vms).astype(self._vm_key)
 
     def _score(self, vm_sorted: np.ndarray) -> float:
-        return self.weights.score(self._simulator._replay_sorted(vm_sorted, self.weights)[3])
+        return self.weights.score(self._replay_sorted(vm_sorted, self.weights)[3])
 
     def __call__(self, x: np.ndarray) -> float:
         return self._score(self._vm_keys(x))

@@ -422,7 +422,7 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     """
     league = params.league_size
     n = domain.dimension
-    budget = params.max_evaluations
+    budget = math.inf if params.max_evaluations is None else params.max_evaluations
 
     rng = np.random.default_rng(params.seed)
     formations = rng.uniform(domain.lower, domain.upper, size=(league, n))
@@ -456,14 +456,14 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     weeks_per_season = league - 1
 
     for week in range(params.seasons * weeks_per_season):
-        if budget is not None and evaluations >= budget:
+        if evaluations >= budget:
             break
         this_week = opponents[week % weeks_per_season]
         next_week = opponents[(week + 1) % weeks_per_season]
         won = play_week(schedule.weeks[week % weeks_per_season], fitness, ideal_fitness, rng).tolist()
         drafts = []  # bests and overrides change at week end, once every draft has read them
         for i in range(league):
-            if budget is not None and evaluations >= budget:
+            if evaluations >= budget:
                 break
             opponent, rival_opponent = this_week[i], this_week[next_week[i]]
             best, own = best_rows[i], overrides[i]

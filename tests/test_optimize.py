@@ -12,14 +12,18 @@ from lcasched import (
     LcaParams,
     MetricWeights,
     ScheduleSimulator,
+    Team,
     Vm,
     WorkloadSpec,
     assignment_domain,
     decode_random_key,
     generate_fleet,
+    generate_league_schedule,
     generate_workload,
     make_objective,
     optimize,
+    play_week,
+    swot_update,
 )
 
 # Frozen from a reference run of the fixed-seed configuration below; any
@@ -282,6 +286,54 @@ def test_staggered_delta_run_equals_plain_run():
         simulator = ScheduleSimulator(jobs, vms)
         replayed = optimize(lambda x: weights.score(simulator.metrics(decode_random_key(x, num_vms))), domain, params)
         assert_same_result(delta, replayed)
+
+
+@pytest.mark.parametrize("num_slots", [10, 300])  # below and above the 128-slot Floyd threshold
+def test_optimize_drafts_with_the_public_operators(num_slots):
+    # a league run by hand with play_week and swot_update on one generator
+    # must call the objective with the same vectors, bit for bit, as optimize
+    bounds = np.random.default_rng(num_slots)
+    domain = BoxDomain(-bounds.uniform(0.0, 2.0, num_slots), bounds.uniform(1.0, 5.0, num_slots))
+    # a low change_prob draws many slots, so drafts often read an override
+    params = LcaParams(league_size=6, seasons=2, change_prob=0.05, retreat_coeff=1.5, approach_coeff=0.7, seed=11)
+    calls = []
+
+    def recorded(x):
+        calls.append(x.copy())
+        return sphere(x)
+
+    optimize(recorded, domain, params)
+
+    rng = np.random.default_rng(params.seed)
+    current = rng.uniform(domain.lower, domain.upper, size=(params.league_size, num_slots))
+    fitness = [sphere(x) for x in current]
+    best, best_fitness = current.copy(), fitness.copy()
+    ideal = min(fitness)
+    expected = list(current.copy())
+    schedule = generate_league_schedule(params.league_size)
+    opponents = schedule.opponents()
+    weeks = params.league_size - 1
+    for week in range(params.seasons * weeks):
+        this_week, next_week = opponents[week % weeks], opponents[(week + 1) % weeks]
+        won = play_week(schedule.weeks[week % weeks], fitness, ideal, rng)
+        drafts = []  # every team drafts from the state the week started with
+        for i in range(params.league_size):
+            opponent, rival_opponent = this_week[i], this_week[next_week[i]]
+            team = Team(current[i], fitness[i], best[i], best_fitness[i])
+            x = swot_update(
+                team, current[opponent], current[rival_opponent], won[i], won[rival_opponent], params, domain, rng
+            )
+            drafts.append((i, x, sphere(x)))
+        for i, x, f in drafts:
+            expected.append(x)
+            current[i], fitness[i] = x, f
+            if f < best_fitness[i]:
+                best[i], best_fitness[i] = x, f
+            ideal = min(ideal, f)
+
+    assert len(calls) == len(expected) == params.league_size * (1 + params.seasons * weeks)
+    for call, x in zip(calls, expected):
+        assert call.tobytes() == x.tobytes()
 
 
 class TestNonFiniteFitness:
