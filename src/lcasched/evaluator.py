@@ -11,12 +11,12 @@ assignments can be scored cheaply; the job arrays, the (arrival, id)
 service order and its inverse come from ``problem._job_columns``, shared
 with the scorers and the baselines, which remembers the columns of the
 last tuple of jobs it unpacked. ``make_objective`` returns one of two
-scorers over random-key vectors: ``BatchScorer``, exact for batch
-instances, scores from integer sums and rescores a few moved jobs without
-a replay (``BatchDraft``); ``_ReplayScorer``, the ``ScheduleSimulator``
-of a staggered instance, decodes keys into its service order; its drafts
-(``_ReplayDraft``, an ``lca._CopyDraft``) patch a copy of those keys and
-replay it.
+scorers over random-key vectors. Both are ``ScheduleSimulator``s that
+decode keys into service order; the batch one scores by exact integer sums.
+``_ReplayScorer``, for staggered instances, replays the keys, and its
+drafts (``_ReplayDraft``, an ``lca._CopyDraft``) patch a copy of them and
+replay it; its subclass ``BatchScorer`` rescores a few moved jobs without
+a replay (``BatchDraft``).
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
 an exact reference.
 """
@@ -93,17 +93,27 @@ class ScheduleSimulator:
         self.num_jobs = len(jobs)
         self.num_vms = len(vms)
         columns = _job_columns(jobs)
-        self.arrivals, self._service_order = columns.arrivals, columns.service_order
-        self.lengths = columns.lengths.astype(float)
+        self._service_order = order = columns.service_order
         self.speeds = np.array([v.speed for v in vms], dtype=float)
-        self._arrivals_sorted = self.arrivals[self._service_order]
-        self._lengths_sorted = self.lengths[self._service_order]
-        self._min_arrival = float(self.arrivals.min())
+        self._arrivals_sorted = columns.arrivals[order]
+        self._lengths_sorted = columns.lengths[order].astype(float)
+        self._min_arrival = float(columns.arrivals.min())
         self._vm_key = np.min_scalar_type(self.num_vms - 1)
 
+    def _sorted_keys(self, assignment) -> np.ndarray:
+        """Each job's VM in service order, as ``_vm_key`` integers, once
+        ``assignment`` is checked to hold one VM index per job."""
+        assignment = np.asarray(assignment)
+        if assignment.shape != (self.num_jobs,):
+            raise ValueError("assignment must hold one VM index per job")
+        if not np.issubdtype(assignment.dtype, np.integer):
+            raise ValueError("assignment must hold integer VM indices")
+        if int(assignment.min()) < 0 or int(assignment.max()) >= self.num_vms:
+            raise ValueError("assignment refers to a VM that does not exist")
+        return assignment[self._service_order].astype(self._vm_key)
+
     def _replay(self, assignment: np.ndarray):
-        assignment = _checked_assignment(assignment, self.num_jobs, self.num_vms)
-        return self._replay_sorted(assignment[self._service_order].astype(self._vm_key))
+        return self._replay_sorted(self._sorted_keys(assignment))
 
     def _replay_sorted(self, vm_sorted: np.ndarray, weights: MetricWeights | None = None):
         """Replay from each job's VM in service order, as ``_vm_key`` integers
@@ -147,18 +157,64 @@ class ScheduleSimulator:
         return timeline, metrics
 
 
-def _checked_assignment(assignment, num_jobs: int, num_vms: int) -> np.ndarray:
-    assignment = np.asarray(assignment)
-    if assignment.shape != (num_jobs,):
-        raise ValueError("assignment must hold one VM index per job")
-    if not np.issubdtype(assignment.dtype, np.integer):
-        raise ValueError("assignment must hold integer VM indices")
-    if int(assignment.min()) < 0 or int(assignment.max()) >= num_vms:
-        raise ValueError("assignment refers to a VM that does not exist")
-    return assignment
+class _ReplayScorer(ScheduleSimulator):
+    """Weighted objective of a staggered instance, over random-key vectors.
+
+    A call decodes the keys in the replay's service order, with no
+    assignment check or gather (``_vm_keys``), and replays them (``_score``,
+    which ``BatchScorer`` overrides); metrics of zero weight are not
+    computed. ``delta_scorer`` keeps one formation's VM keys so that a draft
+    patches only the moved jobs' keys and reruns the same replay, so a
+    draft equals a call bit for bit.
+    """
+
+    def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
+        super().__init__(jobs, vms)
+        self.weights = weights
+        self._place = _job_columns(jobs).place
+
+    def _vm_keys(self, x: np.ndarray) -> np.ndarray:
+        """Each job's VM in service order, as the replay's narrow VM keys."""
+        x = np.asarray(x)
+        if x.shape != (self.num_jobs,):
+            raise ValueError("need one key per job")
+        return decode_random_key(x.take(self._service_order), self.num_vms).astype(self._vm_key)
+
+    def _score(self, vm_sorted: np.ndarray) -> float:
+        return self.weights.score(self._replay_sorted(vm_sorted, self.weights)[3])
+
+    def __call__(self, x: np.ndarray) -> float:
+        return self._score(self._vm_keys(x))
+
+    def delta_scorer(self, x: np.ndarray) -> "_ReplayDraft":
+        """Draft scorer anchored at formation ``x`` (protocol in ``lca.optimize``).
+
+        A class attribute on purpose: a wrapper made with ``functools.wraps``
+        copies instance attributes only, so a wrapped objective's drafts
+        call it on full vectors.
+        """
+        return _ReplayDraft(self, self._vm_keys(x))
 
 
-class BatchScorer:
+class _ReplayDraft(_CopyDraft):
+    """One formation's service-order VM keys; a draft patches the moved jobs'
+    keys in a copy and replays it."""
+
+    def __init__(self, scorer: _ReplayScorer, vm_sorted: np.ndarray):
+        self._place, self._top = scorer._place, scorer.num_vms - 1
+        super().__init__(scorer._score, vm_sorted)
+
+    def _write(self, vm_sorted: np.ndarray, positions: Sequence[int], keys: Sequence[float]) -> None:
+        """Put job ``positions[i]`` on the VM key ``keys[i]`` decodes to
+        (``decode_random_key``, one key at a time)."""
+        if not all(map(math.isfinite, keys)):
+            raise ValueError("keys must be finite")
+        place, top = self._place, self._top
+        for p, key in zip(positions, keys):
+            vm_sorted[place[p]] = min(max(math.floor(key), 0), top)
+
+
+class BatchScorer(_ReplayScorer):
     """Exact weighted objective of a batch instance, over random-key vectors.
 
     With every arrival at zero, VM v serves its jobs in id order, so its
@@ -175,26 +231,20 @@ class BatchScorer:
     folded before dividing. ``_value`` is the one function from sums to
     score; it reduces with ``math.fsum``, so a score depends only on the
     integer sums, never on the order or layout they were computed in.
-    A call scores key vector x as ``decode_random_key(x, num_vms)``;
-    ``delta_scorer`` keeps one formation's per-VM state so that moving k
-    jobs is rescored in O(k * jobs per VM) steps (see ``BatchDraft``),
-    not O(n), giving the same float as a call on the moved keys.
+    A call decodes the keys into service order as the base class does and
+    scores their sums (``_score``) instead of replaying; ``delta_scorer``
+    keeps one formation's per-VM state so that moving k jobs is rescored
+    in O(k * jobs per VM) steps (see ``BatchDraft``), not O(n), giving the
+    same float as a call on the moved keys.
     """
 
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
-        if not jobs or not vms:
-            raise ValueError("jobs and vms must be non-empty")
+        super().__init__(jobs, vms, weights)
         if not self.applies(jobs):
             raise ValueError("exact batch scoring needs zero arrivals and n * total length < 2**63")
-        self.num_jobs = len(jobs)
-        self.num_vms = len(vms)
-        self.weights = weights
         columns = _job_columns(jobs)
-        self._service_order = columns.service_order  # id order, as every arrival is zero
-        self._lengths_by_rank = columns.lengths[self._service_order]
-        self._rank = columns.place
+        self._lengths_by_rank = columns.lengths[self._service_order]  # id order, as every arrival is zero
         self._length = columns.length_list
-        self._vm_key = np.min_scalar_type(self.num_vms - 1)
         self._speed = [v.speed for v in vms]
         self._class_speed = sorted(set(self._speed))
         self._class_of = [self._class_speed.index(s) for s in self._speed]
@@ -210,17 +260,15 @@ class BatchScorer:
             len(jobs) * sum(columns.length_list) < 2**63
         )
 
-    def _sums(self, assignment: np.ndarray):
-        """Per-VM S and T of ``assignment``, plus its jobs' ranks grouped by
-        VM (VM v's are ``group[starts[v]:ends[v]]``), which ``BatchDraft`` keeps."""
-        assignment = _checked_assignment(assignment, self.num_jobs, self.num_vms)
-        vm_by_rank = assignment[self._service_order]
-        group = np.argsort(vm_by_rank.astype(self._vm_key), kind="stable")
+    def _sums(self, vm_sorted: np.ndarray):
+        """Per-VM S and T of the service-order VM keys ``vm_sorted``, plus its jobs' ranks
+        grouped by VM (VM v's are ``group[starts[v]:ends[v]]``), which ``BatchDraft`` keeps."""
+        group = np.argsort(vm_sorted, kind="stable")
         cum = np.zeros(self.num_jobs + 1, dtype=np.int64)
         np.cumsum(self._lengths_by_rank[group], out=cum[1:])
         cum_of_cum = np.zeros(self.num_jobs + 1, dtype=np.int64)
         np.cumsum(cum[1:], out=cum_of_cum[1:])
-        counts = np.bincount(assignment, minlength=self.num_vms)
+        counts = np.bincount(vm_sorted, minlength=self.num_vms)
         ends = np.cumsum(counts)
         starts = ends - counts
         base = cum[starts]
@@ -247,21 +295,16 @@ class BatchScorer:
         # the same products summed in the same order.
         return weights.makespan * makespan + weights.completion * completion + weights.response * response
 
-    def score(self, assignment: np.ndarray) -> float:
-        """Weighted objective of ``assignment`` from scratch."""
-        _, _, _, weighted, totals = self._sums(assignment)
+    def _score(self, vm_sorted: np.ndarray) -> float:
+        _, _, _, weighted, totals = self._sums(vm_sorted)
         return self._value(self._fold(weighted), self._fold(totals), totals.tolist())
 
-    def __call__(self, x: np.ndarray) -> float:
-        return self.score(decode_random_key(x, self.num_vms))
+    def score(self, assignment: np.ndarray) -> float:
+        """Weighted objective of ``assignment`` from scratch."""
+        return self._score(self._sorted_keys(assignment))
 
     def delta_scorer(self, x: np.ndarray) -> "BatchDraft":
-        """Draft scorer anchored at formation ``x`` (protocol in ``lca.optimize``).
-
-        A class attribute on purpose: a wrapper made with ``functools.wraps``
-        copies instance attributes only, so a wrapped objective's drafts
-        call it on full vectors.
-        """
+        """Draft scorer anchored at formation ``x`` (see ``BatchDraft``)."""
         return BatchDraft(self, decode_random_key(x, self.num_vms))
 
 
@@ -276,16 +319,17 @@ class BatchDraft:
     ``draft`` decodes each moved job's key and applies the moves in turn,
     deleting and inserting at ``bisect`` indices, so each move is scored
     against the lists as the earlier moves left them; it then undoes them
-    in reverse order, leaving the anchor exactly as it was. ``commit``
-    re-applies the moves at their recorded indices. No position may repeat
-    in a draft: a repeated job would be looked up on a VM it has already
-    left, corrupting the anchor's lists.
+    in reverse order, also when a move raises, leaving the anchor exactly
+    as it was. ``commit`` re-applies the moves at their recorded indices.
+    No position may repeat in a draft: a repeated job would be looked up
+    on a VM it has already left, corrupting the anchor's lists.
     """
 
     def __init__(self, scorer: BatchScorer, assignment: np.ndarray):
-        group, starts, ends, weighted, totals = scorer._sums(assignment)
+        vm_sorted = scorer._sorted_keys(assignment)
+        group, starts, ends, weighted, totals = scorer._sums(vm_sorted)
         self._scorer = scorer
-        self._assignment = np.asarray(assignment).tolist()
+        self._vm_by_rank = vm_sorted.tolist()
         ranks, lengths = group.tolist(), scorer._lengths_by_rank[group].tolist()
         bounds = list(zip(starts.tolist(), ends.tolist()))
         self._ranks = [ranks[a:b] for a, b in bounds]
@@ -302,41 +346,44 @@ class BatchDraft:
         if not all(map(math.isfinite, keys)):
             raise ValueError("keys must be finite")
         scorer = self._scorer
-        rank, length, class_of, top = scorer._rank, scorer._length, scorer._class_of, scorer.num_vms - 1
-        assignment, ranks, lengths = self._assignment, self._ranks, self._lengths
+        rank, length, class_of, top = scorer._place, scorer._length, scorer._class_of, scorer.num_vms - 1
+        vm_by_rank, ranks, lengths = self._vm_by_rank, self._ranks, self._lengths
         weighted = self._class_weighted.copy()
         totals = self._class_totals.copy()
         moves = []
-        for p, key in zip(positions, keys):
-            a, b = assignment[p], min(max(math.floor(key), 0), top)
-            if a == b:
-                continue
-            r, size = rank[p], length[p]
-            here = ranks[a]
-            i = bisect_left(here, r)
-            c = class_of[a]
-            weighted[c] -= sum(lengths[a][:i]) + size * (len(here) - i)
-            totals[c] -= size
-            del here[i], lengths[a][i]
-            here = ranks[b]
-            j = bisect_left(here, r)
-            c = class_of[b]
-            weighted[c] += sum(lengths[b][:j]) + size * (len(here) - j + 1)
-            totals[c] += size
-            here.insert(j, r)
-            lengths[b].insert(j, size)
-            moves.append((p, a, i, b, j, r, size))
-        vm_totals = self._totals
-        if scorer.weights.makespan:
-            vm_totals = vm_totals.copy()
-            for _, a, _, b, _, _, size in moves:
-                vm_totals[a] -= size
-                vm_totals[b] += size
-        value = scorer._value(weighted, totals, vm_totals)
-        for _, a, i, b, j, r, size in reversed(moves):
-            del ranks[b][j], lengths[b][j]
-            ranks[a].insert(i, r)
-            lengths[a].insert(i, size)
+        try:
+            for p, key in zip(positions, keys):
+                r = rank[p]
+                a, b = vm_by_rank[r], min(max(math.floor(key), 0), top)
+                if a == b:
+                    continue
+                size = length[p]
+                here = ranks[a]
+                i = bisect_left(here, r)
+                c = class_of[a]
+                weighted[c] -= sum(lengths[a][:i]) + size * (len(here) - i)
+                totals[c] -= size
+                del here[i], lengths[a][i]
+                here = ranks[b]
+                j = bisect_left(here, r)
+                c = class_of[b]
+                weighted[c] += sum(lengths[b][:j]) + size * (len(here) - j + 1)
+                totals[c] += size
+                here.insert(j, r)
+                lengths[b].insert(j, size)
+                moves.append((a, i, b, j, r, size))
+            vm_totals = self._totals
+            if scorer.weights.makespan:
+                vm_totals = vm_totals.copy()
+                for a, _, b, _, _, size in moves:
+                    vm_totals[a] -= size
+                    vm_totals[b] += size
+            value = scorer._value(weighted, totals, vm_totals)
+        finally:
+            for a, i, b, j, r, size in reversed(moves):
+                del ranks[b][j], lengths[b][j]
+                ranks[a].insert(i, r)
+                lengths[a].insert(i, size)
         self._pending = (moves, weighted, totals, value)
         return value
 
@@ -344,67 +391,15 @@ class BatchDraft:
         """Make the last draft the anchor."""
         moves, weighted, totals, value = self._pending
         ranks, lengths, vm_totals = self._ranks, self._lengths, self._totals
-        for p, a, i, b, j, r, size in moves:
+        for a, i, b, j, r, size in moves:
             del ranks[a][i], lengths[a][i]
             ranks[b].insert(j, r)
             lengths[b].insert(j, size)
             vm_totals[a] -= size
             vm_totals[b] += size
-            self._assignment[p] = b
+            self._vm_by_rank[r] = b
         self._class_weighted, self._class_totals, self.fitness = weighted, totals, value
         self._pending = ((), weighted, totals, value)
-
-
-class _ReplayScorer(ScheduleSimulator):
-    """Weighted objective of a staggered instance, over random-key vectors.
-
-    A call decodes the keys in the replay's service order, with no
-    assignment check or gather, and replays them (``_replay_sorted``);
-    metrics of zero weight are not computed. ``delta_scorer`` keeps one
-    formation's VM keys so that a draft patches only the moved jobs' keys
-    and reruns the same replay, so a draft equals a call bit for bit.
-    """
-
-    def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
-        super().__init__(jobs, vms)
-        self.weights = weights
-        self._place = _job_columns(jobs).place
-
-    def _vm_keys(self, x: np.ndarray) -> np.ndarray:
-        """Each job's VM in service order, as the replay's narrow VM keys."""
-        x = np.asarray(x)
-        if x.shape != (self.num_jobs,):
-            raise ValueError("need one key per job")
-        return decode_random_key(x.take(self._service_order), self.num_vms).astype(self._vm_key)
-
-    def _score(self, vm_sorted: np.ndarray) -> float:
-        return self.weights.score(self._replay_sorted(vm_sorted, self.weights)[3])
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self._score(self._vm_keys(x))
-
-    def delta_scorer(self, x: np.ndarray) -> "_ReplayDraft":
-        """Draft scorer anchored at formation ``x`` (protocol in ``lca.optimize``);
-        a class attribute, like ``BatchScorer.delta_scorer``."""
-        return _ReplayDraft(self, self._vm_keys(x))
-
-
-class _ReplayDraft(_CopyDraft):
-    """One formation's service-order VM keys; a draft patches the moved jobs'
-    keys in a copy and replays it."""
-
-    def __init__(self, scorer: _ReplayScorer, vm_sorted: np.ndarray):
-        self._place, self._top = scorer._place, scorer.num_vms - 1
-        super().__init__(scorer._score, vm_sorted)
-
-    def _write(self, vm_sorted: np.ndarray, positions: Sequence[int], keys: Sequence[float]) -> None:
-        """Put job ``positions[i]`` on the VM key ``keys[i]`` decodes to
-        (``decode_random_key``, one key at a time)."""
-        if not all(map(math.isfinite, keys)):
-            raise ValueError("keys must be finite")
-        place, top = self._place, self._top
-        for p, key in zip(positions, keys):
-            vm_sorted[place[p]] = min(max(math.floor(key), 0), top)
 
 
 def _segmented_cummax(values: np.ndarray, queue: np.ndarray) -> np.ndarray:

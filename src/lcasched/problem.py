@@ -167,16 +167,17 @@ def make_objective(
     returns the weighted mix of makespan, average completion time, and
     average response time. The instance is unpacked once up front.
 
-    Batch instances (every arrival at zero) get a ``BatchScorer``, which
-    scores from exact integer sums; other instances get a scorer that
-    decodes the keys straight into the replay's service order and replays
-    the schedule (``ScheduleSimulator``). Both offer ``delta_scorer``:
+    Both objectives are ``ScheduleSimulator``s that decode keys into
+    service order, and the batch one scores by exact integer sums: batch
+    instances (every arrival at zero) get a ``BatchScorer``, other
+    instances a scorer that replays the schedule. Both offer ``delta_scorer``:
     ``lca.optimize`` uses it to rescore a draft from the few keys it
     changed, giving the same float as a call. A batch draft rescores the
     moved jobs alone; a staggered one patches their VM keys and replays.
     """
     from .evaluator import BatchScorer, _ReplayScorer
 
+    jobs = tuple(jobs)  # _job_columns remembers the last tuple, so the scorer's layers unpack it once
     if BatchScorer.applies(jobs):
         return BatchScorer(jobs, vms, weights)
     return _ReplayScorer(jobs, vms, weights)

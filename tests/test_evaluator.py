@@ -294,6 +294,21 @@ class TestBatchScorer:
             reference = scorer.weights.score(ScheduleSimulator(jobs, vms).metrics(moved))
             assert scorer.score(moved) == pytest.approx(reference, rel=1e-12)
 
+    def test_raising_draft_leaves_the_anchor_as_it_was(self):
+        jobs = [Job(i, 0.0, 10 + i) for i in range(4)]
+        scorer = BatchScorer(jobs, [Vm(0, 1.0), Vm(1, 2.0)], MetricWeights(1.0, 1.0, 1.0))
+        anchor = BatchDraft(scorer, np.array([0, 0, 1, 1]))
+        fitness = anchor.fitness
+        with pytest.raises(IndexError):
+            anchor.draft([0, 7], [1.5, 0.5])  # job 0 moves to VM 1, then position 7 does not exist
+        assert anchor._ranks == [[0, 1], [2, 3]]
+        anchor.commit()  # the raising draft left nothing to commit
+        assert anchor.fitness == fitness
+        assert anchor.draft([0, 3], [1.5, 0.5]) == scorer.score(np.array([1, 0, 1, 0]))
+        anchor.commit()
+        assert anchor.fitness == scorer.score(np.array([1, 0, 1, 0]))
+        assert anchor.draft([1], [1.0]) == scorer.score(np.array([1, 1, 1, 0]))
+
     def test_bad_assignment_rejected(self, three_jobs_two_vms):
         scorer = BatchScorer(*three_jobs_two_vms)
         for bad in (np.array([0, 1, 2]), np.array([0, -1, 0]), np.array([0, 1]), np.array([0.0, 1.0, 0.0])):
@@ -337,6 +352,13 @@ def staggered_draft_cases(draw):
     return jobs, vms, weights, anchor, drafts
 
 
+# Both objectives share one bad-input contract: BatchScorer on a batch
+# instance, _ReplayScorer on a staggered one (arrivals step * k).
+SCORER_CLASSES = pytest.mark.parametrize(
+    "scorer_class, step", [(BatchScorer, 0.0), (_ReplayScorer, 1.0)], ids=["batch", "staggered"]
+)
+
+
 class TestReplayScorer:
     @settings(max_examples=200, deadline=None)
     @given(staggered_draft_cases())
@@ -365,10 +387,11 @@ class TestReplayScorer:
                 x = moved
             assert anchor.fitness == scorer(x)
 
+    @SCORER_CLASSES
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_keys_rejected(self, bad):
-        jobs = [Job(i, float(i % 3), 10 + i) for i in range(6)]
-        scorer = _ReplayScorer(jobs, [Vm(0, 1.0), Vm(1, 2.0)], MetricWeights(1.0, 1.0, 1.0))
+    def test_non_finite_keys_rejected(self, bad, scorer_class, step):
+        jobs = [Job(i, step * (i % 3), 10 + i) for i in range(6)]
+        scorer = scorer_class(jobs, [Vm(0, 1.0), Vm(1, 2.0)], MetricWeights(1.0, 1.0, 1.0))
         x = np.array([0.5, 1.5, 0.2, 1.9, 0.0, 2.0])
         anchor = scorer.delta_scorer(x)
         fitness = anchor.fitness
@@ -383,8 +406,9 @@ class TestReplayScorer:
         with pytest.raises(ValueError, match="keys must be finite"):
             scorer.delta_scorer(bad_x)
 
-    def test_wrong_length_rejected(self):
-        scorer = _ReplayScorer([Job(0, 1.0, 5), Job(1, 0.0, 5)], [Vm(0, 1.0)])
+    @SCORER_CLASSES
+    def test_wrong_length_rejected(self, scorer_class, step):
+        scorer = scorer_class([Job(0, step, 5), Job(1, 0.0, 5)], [Vm(0, 1.0)])
         for bad in (np.zeros(1), np.zeros(3), np.zeros((2, 2))):
             with pytest.raises(ValueError, match="one key per job"):
                 scorer(bad)
