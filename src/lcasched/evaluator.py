@@ -207,8 +207,8 @@ class _ReplayDraft(_CopyDraft):
     def _write(self, vm_sorted: np.ndarray, positions: Sequence[int], keys: Sequence[float]) -> None:
         """Put job ``positions[i]`` on the VM key ``keys[i]`` decodes to
         (``decode_random_key``, one key at a time)."""
-        if not all(map(math.isfinite, keys)):
-            raise ValueError("keys must be finite")
+        if not all(map(math.isfinite, keys)) or min(positions, default=0) < 0:
+            raise ValueError("keys must be finite and positions nonnegative")
         place, top = self._place, self._top
         for p, key in zip(positions, keys):
             vm_sorted[place[p]] = min(max(math.floor(key), 0), top)
@@ -305,11 +305,14 @@ class BatchScorer(_ReplayScorer):
 
     def delta_scorer(self, x: np.ndarray) -> "BatchDraft":
         """Draft scorer anchored at formation ``x`` (see ``BatchDraft``)."""
-        return BatchDraft(self, decode_random_key(x, self.num_vms))
+        return BatchDraft(self, x)
 
 
 class BatchDraft:
-    """One assignment's exact sums, and drafts that move a few of its jobs.
+    """One formation's exact sums, and drafts that move a few of its jobs. The
+    formation ``x`` is a key vector, decoded as a call decodes it: each key is
+    floored and clamped into the VM range, so a VM index past the last VM is
+    read as the last VM, not rejected as ``score`` rejects it.
 
     Per VM it keeps the service ranks of its jobs (sorted) and their
     lengths in that order. With S_v written as T_v + sum over pairs of v's
@@ -325,10 +328,11 @@ class BatchDraft:
     on a VM it has already left, corrupting the anchor's lists.
     """
 
-    def __init__(self, scorer: BatchScorer, assignment: np.ndarray):
-        vm_sorted = scorer._sorted_keys(assignment)
+    def __init__(self, scorer: BatchScorer, x: np.ndarray):
+        vm_sorted = scorer._vm_keys(x)
         group, starts, ends, weighted, totals = scorer._sums(vm_sorted)
-        self._scorer = scorer
+        self._place, self._length, self._class_of = scorer._place, scorer._length, scorer._class_of
+        self._top, self._makespan, self._value = scorer.num_vms - 1, scorer.weights.makespan, scorer._value
         self._vm_by_rank = vm_sorted.tolist()
         ranks, lengths = group.tolist(), scorer._lengths_by_rank[group].tolist()
         bounds = list(zip(starts.tolist(), ends.tolist()))
@@ -343,10 +347,9 @@ class BatchDraft:
     def draft(self, positions: Sequence[int], keys: Sequence[float]) -> float:
         """Score the anchor with job ``positions[i]`` on the VM key ``keys[i]``
         decodes to (``decode_random_key``, one key at a time); no position repeats."""
-        if not all(map(math.isfinite, keys)):
-            raise ValueError("keys must be finite")
-        scorer = self._scorer
-        rank, length, class_of, top = scorer._place, scorer._length, scorer._class_of, scorer.num_vms - 1
+        if not all(map(math.isfinite, keys)) or min(positions, default=0) < 0:  # before any list edit
+            raise ValueError("keys must be finite and positions nonnegative")
+        rank, length, class_of, top = self._place, self._length, self._class_of, self._top
         vm_by_rank, ranks, lengths = self._vm_by_rank, self._ranks, self._lengths
         weighted = self._class_weighted.copy()
         totals = self._class_totals.copy()
@@ -354,31 +357,32 @@ class BatchDraft:
         try:
             for p, key in zip(positions, keys):
                 r = rank[p]
-                a, b = vm_by_rank[r], min(max(math.floor(key), 0), top)
+                a, b = vm_by_rank[r], math.floor(key)
+                b = 0 if b < 0 else top if b > top else b
                 if a == b:
                     continue
                 size = length[p]
-                here = ranks[a]
+                here, sizes = ranks[a], lengths[a]
                 i = bisect_left(here, r)
                 c = class_of[a]
-                weighted[c] -= sum(lengths[a][:i]) + size * (len(here) - i)
+                weighted[c] -= sum(sizes[:i]) + size * (len(here) - i)
                 totals[c] -= size
-                del here[i], lengths[a][i]
-                here = ranks[b]
+                del here[i], sizes[i]
+                here, sizes = ranks[b], lengths[b]
                 j = bisect_left(here, r)
                 c = class_of[b]
-                weighted[c] += sum(lengths[b][:j]) + size * (len(here) - j + 1)
+                weighted[c] += sum(sizes[:j]) + size * (len(here) - j + 1)
                 totals[c] += size
                 here.insert(j, r)
-                lengths[b].insert(j, size)
+                sizes.insert(j, size)
                 moves.append((a, i, b, j, r, size))
             vm_totals = self._totals
-            if scorer.weights.makespan:
+            if self._makespan:
                 vm_totals = vm_totals.copy()
                 for a, _, b, _, _, size in moves:
                     vm_totals[a] -= size
                     vm_totals[b] += size
-            value = scorer._value(weighted, totals, vm_totals)
+            value = self._value(weighted, totals, vm_totals)
         finally:
             for a, i, b, j, r, size in reversed(moves):
                 del ranks[b][j], lengths[b][j]

@@ -187,8 +187,8 @@ def play_week(
     """Draw one winner per match; the first listed team wins iff u < its odds.
 
     Returns a boolean array: entry i is True when team i won. Every team
-    must appear in exactly one match. One uniform draw is consumed per
-    match, in fixture order.
+    must appear in exactly one match. One uniform draw, ``rng.random()``,
+    is consumed per match, in fixture order.
     """
     fitnesses = np.asarray(fitnesses, dtype=float).tolist()
     won: list[bool | None] = [None] * len(fitnesses)  # None until the team has played
@@ -239,19 +239,6 @@ def _count_quantile(dimension: int, change_prob: float):
     return lambda r: min(dimension, max(1, math.ceil(math.log1p(-r * total) / log_keep)))
 
 
-def _floyd_slots(dimension: int, uniforms: list[float]) -> list[int]:
-    # Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987) of len(uniforms)
-    # distinct slots: for j from dimension - count to dimension - 1, take
-    # t = floor(u * (j + 1)), or j if t is already chosen (u < 1 keeps t <= j
-    # in floats too). For 3 slots (numpy 2.4, 2-core x86) a permutation took
-    # 6 us at 128 slots, 13 at 500 and 94 at 5000; Floyd 3-4 us at any size.
-    chosen: dict[int, None] = {}  # insertion-ordered set
-    for j, u in zip(range(dimension - len(uniforms), dimension), uniforms):
-        t = int(u * (j + 1))
-        chosen[j if t in chosen else t] = None
-    return list(chosen)
-
-
 def swot_formation(
     best: np.ndarray,
     current: np.ndarray,
@@ -284,38 +271,49 @@ def swot_formation(
     return best + (gain_rival * rival_pull + gain_opponent * opponent_pull)
 
 
-def _drafter(params: LcaParams, dimension: int):
-    """The weekly draft of one run: ``draft(rng, won, rival_opponent_won, gather)``
-    draws the change count, the slots and their gains, in that order, and
-    rebuilds the slots, clamped as ``np.clip`` would: ``(slots, keys)``.
-    ``gather(slots)`` yields one tuple per slot: the team's best and current
-    keys there, its opponent's, its rival's opponent's, and the bounds.
-
-    Below 128 slots the slots are a permutation prefix, which keeps the
-    stream of small problems, and the gains a (2, count) block. From 128 up
-    one ``rng.random(3 * count)`` call gives the Floyd uniforms and then both
-    gain rows: the same doubles, in the same order, as three calls."""
+def _drafter(params: LcaParams, lower, upper):
+    """The weekly draft of one run within the bounds ``lower`` and ``upper``:
+    ``draft(rng, won, rival_opponent_won, best, row, own, opponent, over_o,
+    rival_opponent, over_r)`` draws the change count, the slots and their
+    gains, in that order, and rebuilds the slots by ``swot_formation``
+    anchored at ``best``, clamped as ``np.clip`` would: ``{slot: key}`` in
+    draw order. Each side's formation is its row under its overrides
+    (``own`` for the team). Below 128 slots the slots are a permutation prefix, which keeps
+    the stream of small problems, and the gains a (2, count) block. From 128
+    up one ``rng.random(3 * count)`` gives Floyd's uniforms and both gain
+    rows, so every draw is a double and ``rng`` may read them from blocks."""
+    dimension = len(lower)
     count_of = _count_quantile(dimension, params.change_prob)
     retreat, approach = params.retreat_coeff, params.approach_coeff
 
-    def draft(rng, won: bool, rival_opponent_won: bool, gather):
+    def draft(rng, won: bool, rival_opponent_won: bool, best, row, own, opponent, over_o, rival_opponent, over_r):
         count = count_of(rng.random())
+        last = range(dimension - count, dimension)
         if dimension < 128:
-            slots = rng.permutation(dimension)[:count].tolist()
-            gain_rival, gain_opponent = rng.random((2, count)).tolist()
+            picks = rng.permutation(dimension)[:count].tolist()  # distinct, so each is taken as drawn
+            gains = rng.random(2 * count).tolist()
         else:
-            uniforms = rng.random(3 * count).tolist()
-            slots = _floyd_slots(dimension, uniforms[:count])
-            gain_rival, gain_opponent = uniforms[count : 2 * count], uniforms[2 * count :]
-        keys = []
-        for (best, current, opponent, rival_opponent, lo, hi), g_rival, g_opponent in zip(
-            gather(slots), gain_rival, gain_opponent
-        ):
-            x = swot_formation(
-                best, current, opponent, rival_opponent, won, rival_opponent_won, retreat, approach, g_rival, g_opponent
+            # Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987): for j in ``last``,
+            # take t = floor(u * (j + 1)), or j if t is already taken (u < 1 keeps
+            # t <= j in floats too). For 3 slots (numpy 2.4, 2-core x86) a permutation
+            # took 6 us at 128 slots, 13 at 500 and 94 at 5000; Floyd 3-4 us at any size.
+            gains = rng.random(3 * count)
+            picks = [int(u * (j + 1)) for j, u in zip(last, gains)]
+            gains = gains[count:]
+        rival_coeff = approach if rival_opponent_won else retreat
+        opponent_coeff = retreat if won else approach
+        keys: dict[int, float] = {}  # slot -> key, in draw order
+        for j, t, g_rival, g_opponent in zip(last, picks, gains, gains[count:]):
+            s = j if t in keys else t
+            c, o, r = own.get(s, row[s]), over_o.get(s, opponent[s]), over_r.get(s, rival_opponent[s])
+            # swot_formation of one slot: the same products, summed in the same order
+            x = best[s] + (
+                g_rival * (rival_coeff * (r - c if rival_opponent_won else c - r))
+                + g_opponent * (opponent_coeff * (c - o if won else o - c))
             )
-            keys.append(lo if x < lo else hi if x > hi else x)
-        return slots, keys
+            lo, hi = lower[s], upper[s]
+            keys[s] = lo if x < lo else hi if x > hi else x
+        return keys
 
     return draft
 
@@ -339,19 +337,35 @@ def swot_update(
     uniforms, drawn in one call with the gains. Changed slots are rebuilt
     by ``swot_formation`` and clamped into the domain; unchanged slots
     carry the team's best formation exactly. ``optimize`` drafts through
-    the same draw.
+    the same draw; from 128 slots up it reads the same doubles from blocks.
     """
     vectors = (team.best_formation, team.formation, opponent_formation, rival_opponent_formation)
     if any(np.shape(vec) != (domain.dimension,) for vec in vectors):
         raise ValueError("formation length does not match the domain dimension")
-    vectors += (domain.lower, domain.upper)
-    slots, keys = _drafter(params, domain.dimension)(
-        rng, won, rival_opponent_won,
-        lambda slots: zip(*(np.asarray(vec, dtype=float)[slots].tolist() for vec in vectors)),
-    )
+    best, current, opponent, rival_opponent = (memoryview(np.asarray(vec, dtype=float)) for vec in vectors)
+    draft = _drafter(params, memoryview(domain.lower), memoryview(domain.upper))
+    keys = draft(rng, won, rival_opponent_won, best, current, {}, opponent, {}, rival_opponent, {})
     new = team.best_formation.copy()
-    new[slots] = keys
+    new[list(keys)] = list(keys.values())
     return new
+
+
+class _Doubles:
+    """``rng.random`` read from blocks of 1024 doubles or more: numpy draws each
+    double from one 64-bit output, so while every draw is a double these are
+    the doubles that direct calls give, in the same order."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._doubles, self._next = rng, [], 0
+
+    def random(self, count: int | None = None):
+        """One double, or a list of ``count``."""
+        start, stop = self._next, self._next + (1 if count is None else count)
+        if stop > len(self._doubles):  # keep what is left and draw at least what is missing
+            self._doubles = self._doubles[start:] + self._rng.random(max(1024, stop - len(self._doubles))).tolist()
+            start, stop = 0, stop - start
+        self._next = stop
+        return self._doubles[start] if count is None else self._doubles[start:stop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +422,9 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     A draft rebuilds a few drawn slots, so the league is sparse: dense
     personal bests, plus each team's last draft as slot overrides when it
     did not become the team's best. Drafts read this week's state at their
-    slots; bests and overrides change at week end.
+    slots; bests and overrides change at week end. The draws are those of
+    ``play_week`` and ``swot_update`` on one generator; from 128 slots up,
+    where all are doubles, the same doubles are read from blocks.
 
     Each team scores its drafts with a scorer anchored at its personal best:
     ``fitness`` is the objective there, ``draft(slots, keys)`` scores the
@@ -426,31 +442,23 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
 
     rng = np.random.default_rng(params.seed)
     formations = rng.uniform(domain.lower, domain.upper, size=(league, n))
+    if n >= 128:  # every later draw is a double (see _drafter)
+        rng = _Doubles(rng)
     scorer_of = getattr(type(objective), "delta_scorer", _CopyDraft)
-    evaluations = 0
-
-    def checked(value) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"objective returned {value} at evaluation {evaluations}")
-        return value
-
     scorers, fitness = [], []
-    for x in formations:
+    for evaluations, x in enumerate(formations, 1):
         scorers.append(scorer_of(objective, x))
-        fitness.append(checked(scorers[-1].fitness))
+        fitness.append(float(scorers[-1].fitness))
+        if not math.isfinite(fitness[-1]):
+            raise ValueError(f"objective returned {fitness[-1]} at evaluation {evaluations}")
     best_fitness = fitness.copy()
     ideal_fitness = min(fitness)
     leader = fitness.index(ideal_fitness)
     history = [ideal_fitness]
-    bests = formations.copy()
-    best_rows = [memoryview(row) for row in bests]  # scalar reads as Python floats
+    best_rows = [memoryview(row) for row in formations.copy()]  # scalar reads and writes as Python floats
     overrides: list[dict[int, float]] = [{} for _ in range(league)]
-    lower, upper = domain.lower.tolist(), domain.upper.tolist()
 
-    draft = _drafter(params, n)
+    draft = _drafter(params, domain.lower.tolist(), domain.upper.tolist())
     schedule = generate_league_schedule(league)
     opponents = schedule.opponents().tolist()
     weeks_per_season = league - 1
@@ -466,26 +474,28 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
             if evaluations >= budget:
                 break
             opponent, rival_opponent = this_week[i], this_week[next_week[i]]
-            best, own = best_rows[i], overrides[i]
-            row_o, over_o = best_rows[opponent], overrides[opponent]
-            row_r, over_r = best_rows[rival_opponent], overrides[rival_opponent]
-            slots, keys = draft(rng, won[i], won[rival_opponent], lambda slots: (
-                (best[s], own.get(s, best[s]), over_o.get(s, row_o[s]), over_r.get(s, row_r[s]), lower[s], upper[s])
-                for s in slots
-            ))
-            f = checked(scorers[i].draft(slots, keys))
+            best = best_rows[i]
+            keys = draft(
+                rng, won[i], won[rival_opponent], best, best, overrides[i],
+                best_rows[opponent], overrides[opponent], best_rows[rival_opponent], overrides[rival_opponent],
+            )
+            f = float(scorers[i].draft(list(keys), list(keys.values())))
+            evaluations += 1
+            if not math.isfinite(f):
+                raise ValueError(f"objective returned {f} at evaluation {evaluations}")
             if improved := f < best_fitness[i]:
                 best_fitness[i] = f
                 scorers[i].commit()
             if f < ideal_fitness:
                 # a new ideal is also team i's new best, written into bests at week end
                 ideal_fitness, leader = f, i
-            drafts.append((i, slots, keys, f, improved))
-        for i, slots, keys, f, improved in drafts:
+            drafts.append((i, keys, f, improved))
+        for i, keys, f, improved in drafts:
             fitness[i] = f
-            overrides[i] = {} if improved else dict(zip(slots, keys))
+            overrides[i] = {} if improved else keys
             if improved:
-                bests[i, slots] = keys
+                for s, key in keys.items():
+                    best_rows[i][s] = key
         history.append(ideal_fitness)
 
-    return OptimizeResult(bests[leader].copy(), ideal_fitness, history, evaluations)
+    return OptimizeResult(np.array(best_rows[leader]), ideal_fitness, history, evaluations)

@@ -267,6 +267,17 @@ class TestBatchScorer:
         anchor = BatchDraft(scorer, np.zeros(6, dtype=np.int64))
         assert anchor.draft(list(range(6)), [0] * 6) == anchor.fitness
 
+    def test_anchor_decodes_keys_like_a_call(self):
+        # the anchor is a key vector, floored and clamped into the VM range as a
+        # call decodes it; score instead rejects a VM index that does not exist
+        jobs = [Job(i, 0.0, 10 + i) for i in range(3)]
+        scorer = BatchScorer(jobs, [Vm(0, 1.0), Vm(1, 2.0)], MetricWeights(1.0, 1.0, 1.0))
+        clamped = scorer.score(np.array([0, 1, 1]))
+        for x in (np.array([0, 1, 2]), np.array([-0.5, 1.9, 7.0])):
+            assert BatchDraft(scorer, x).fitness == scorer.delta_scorer(x).fitness == scorer(x) == clamped
+        with pytest.raises(ValueError, match="does not exist"):
+            scorer.score(np.array([0, 1, 2]))
+
     def test_applies_only_to_batch_instances_that_fit(self):
         assert BatchScorer.applies([Job(0, 0.0, 10), Job(1, 0.0, 20)])
         assert not BatchScorer.applies([Job(0, 0.0, 10), Job(1, 0.5, 20)])
@@ -412,6 +423,25 @@ class TestReplayScorer:
         for bad in (np.zeros(1), np.zeros(3), np.zeros((2, 2))):
             with pytest.raises(ValueError, match="one key per job"):
                 scorer(bad)
+            with pytest.raises(ValueError, match="one key per job"):
+                scorer.delta_scorer(bad)
+
+    @SCORER_CLASSES
+    def test_negative_position_rejected_before_any_edit(self, scorer_class, step):
+        # a list would take -1 as the last job, and a later position fails only after earlier moves
+        jobs = [Job(i, step * i, 10 + i) for i in range(4)]
+        scorer = scorer_class(jobs, [Vm(0, 1.0), Vm(1, 2.0)], MetricWeights(1.0, 1.0, 1.0))
+        x = np.array([0.0, 0.0, 1.0, 1.0])
+        anchor = scorer.delta_scorer(x)
+        fitness = anchor.fitness
+        for positions in ([-1], [0, -1]):
+            with pytest.raises(ValueError, match="positions nonnegative"):
+                anchor.draft(positions, [0.5] * len(positions))
+        if scorer_class is BatchScorer:
+            assert anchor._ranks == [[0, 1], [2, 3]]
+        anchor.commit()  # the rejected drafts left nothing to commit
+        assert anchor.fitness == fitness == scorer(x)
+        assert anchor.draft([3], [0.5]) == scorer(np.array([0.0, 0.0, 1.0, 0.5]))
 
 
 def segmented_cummax_reference(values, first):

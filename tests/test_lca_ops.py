@@ -15,7 +15,7 @@ from lcasched import (
     truncated_geometric,
     win_probability,
 )
-from lcasched.lca import _floyd_slots
+from lcasched.lca import _Doubles, _drafter
 
 # Gaps and shifts are kept well clear of the last few ulps so the 1e-12
 # tolerances below are meaningful rather than vacuous.
@@ -204,12 +204,27 @@ class TestChangedSlots:
             assert mask.sum() == count
 
     def test_slots_never_repeat_above_floyd_threshold(self):
+        # the week loop's draft at 200 slots, with the change count's quantile
+        # scripted and every other double from rng
+        class Scripted:
+            def __init__(self, quantile, rng):
+                self.quantile, self.rng = quantile, rng
+
+            def random(self, size=None):
+                return self.quantile if size is None else self.rng.random(size)
+
+        zeros = [0.0] * 200
+        params = LcaParams(league_size=4, seasons=1, change_prob=0.01, seed=0)
+        draft = _drafter(params, [-10.0] * 200, [10.0] * 200)
+        total = 1.0 - 0.99**200
         rng = np.random.default_rng(8)
         for count in (1, 2, 50, 199, 200):
+            quantile = (1.0 - 0.99 ** (count - 0.5)) / total  # inside count's step of the inverse
+            assert truncated_geometric(quantile, 200, params.change_prob) == count
             for _ in range(50):
                 mirror = np.random.default_rng()
                 mirror.bit_generator.state = rng.bit_generator.state
-                slots = _floyd_slots(200, rng.random(count).tolist())
+                slots = list(draft(Scripted(quantile, rng), True, False, zeros, zeros, {}, zeros, {}, zeros, {}))
                 assert len(set(slots)) == len(slots) == count
                 assert all(0 <= s < 200 for s in slots)
                 assert slots == floyd_sample(mirror, 200, count)
@@ -365,6 +380,45 @@ class TestSwotUpdate:
                 )
                 actual = swot_update(team, vectors[2], vectors[3], won, rival_won, params, domain, rng)
                 assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("won", [False, True])
+    @pytest.mark.parametrize("rival_opponent_won", [False, True])
+    @pytest.mark.parametrize("dimension", [9, 600])  # slots by permutation, and by Floyd's sampling
+    def test_drafter_equals_swot_formation_and_clip(self, dimension, won, rival_opponent_won):
+        # optimize's draft rebuilds each slot inline; its keys must equal the
+        # public formula clamped by np.clip, bit for bit, with every side read
+        # as its row under its overrides
+        setup = np.random.default_rng(dimension)
+        lower, upper = -setup.uniform(0.5, 2.0, dimension), setup.uniform(1.0, 3.0, dimension)
+        rows = setup.uniform(-4.0, 5.0, size=(3, dimension))  # outside the box too, so keys clamp
+        half = dimension // 2
+        overrides = [
+            dict(zip(setup.permutation(dimension)[:half].tolist(), setup.uniform(-4.0, 5.0, half).tolist())) for _ in rows
+        ]
+        dense = rows.copy()
+        for formation, override in zip(dense, overrides):
+            formation[list(override)] = list(override.values())
+        params = LcaParams(league_size=4, seasons=1, change_prob=0.05, retreat_coeff=1.5, approach_coeff=0.7, seed=0)
+        draft = _drafter(params, lower.tolist(), upper.tolist())
+        rng, mirror = np.random.default_rng(7), np.random.default_rng(7)
+        source = rng if dimension < 128 else _Doubles(rng)  # as optimize reads them
+        best = rows[0].tolist()
+        for _ in range(60):
+            drafted = draft(source, won, rival_opponent_won, best, best, overrides[0], rows[1].tolist(),
+                            overrides[1], rows[2].tolist(), overrides[2])
+            slots, keys = list(drafted), list(drafted.values())
+            count = truncated_geometric(mirror.random(), dimension, params.change_prob)
+            if dimension < 128:
+                assert slots == mirror.permutation(dimension)[:count].tolist()
+            else:
+                assert slots == floyd_sample(mirror, dimension, count)
+            gains = mirror.random((2, count))
+            expected = np.clip(
+                swot_formation(rows[0][slots], *dense[:, slots], won, rival_opponent_won, 1.5, 0.7, *gains),
+                lower[slots],
+                upper[slots],
+            )
+            assert np.array(keys).tobytes() == expected.tobytes()
 
     def test_draws_are_reproducible(self):
         domain = BoxDomain.cube(6, 0.0, 1.0)

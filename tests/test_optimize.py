@@ -288,14 +288,19 @@ def test_staggered_delta_run_equals_plain_run():
         assert_same_result(delta, replayed)
 
 
-@pytest.mark.parametrize("num_slots", [10, 300])  # below and above the 128-slot Floyd threshold
-def test_optimize_drafts_with_the_public_operators(num_slots):
+# Below and above the 128-slot Floyd threshold; at 2000 slots and change_prob
+# 0.0005 a draft's 3 * count doubles can exceed the 1024 that optimize draws
+# ahead at a time.
+@pytest.mark.parametrize("num_slots, change_prob", [(10, 0.05), (300, 0.05), (2000, 0.0005)], ids=["10", "300", "2000"])
+def test_optimize_drafts_with_the_public_operators(num_slots, change_prob):
     # a league run by hand with play_week and swot_update on one generator
     # must call the objective with the same vectors, bit for bit, as optimize
     bounds = np.random.default_rng(num_slots)
     domain = BoxDomain(-bounds.uniform(0.0, 2.0, num_slots), bounds.uniform(1.0, 5.0, num_slots))
     # a low change_prob draws many slots, so drafts often read an override
-    params = LcaParams(league_size=6, seasons=2, change_prob=0.05, retreat_coeff=1.5, approach_coeff=0.7, seed=11)
+    params = LcaParams(
+        league_size=6, seasons=2, change_prob=change_prob, retreat_coeff=1.5, approach_coeff=0.7, seed=11
+    )
     calls = []
 
     def recorded(x):
