@@ -10,8 +10,8 @@ The returned assignment is aligned with the input job list; service order
 within a VM is decided by the evaluator, not by dispatch order.
 
 The job columns and the (arrival, id) order FCFS dispatches in come from
-``problem._job_columns``, shared with the evaluator, which unpacks a tuple
-of jobs once and remembers it.
+``problem._job_columns``, shared with the evaluator, which reads a job
+table's columns as they are.
 """
 
 from __future__ import annotations

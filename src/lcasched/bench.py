@@ -5,17 +5,16 @@ sub-streams split off with ``numpy.random.SeedSequence``: workload, fleet,
 optimizer), so every algorithm sees identical inputs for the same seed and
 the whole sweep is reproducible. A process keeps the jobs of the last
 source a cell asked for, a jobs file's path or a generated workload's
-spec, until a cell asks for another one. A sweep runs its cells
-seed-major (seed, then algorithm, then VM count), so each seed's jobs are
-generated once per process rather than once per cell, and unpacked into
-columns once, in the seed's first cell, since every cell gets the same
-tuple; only that first cell counts the generation and the unpacking in its
-``wall_ms``. A sweep over a jobs file reads it afresh once, before any
-cell, and forked workers inherit the parsed jobs. Rows are always written
-sorted by (algorithm, num_vms, seed) no matter how cells were executed,
-and all floats are serialized with full round-trip precision, so the
-results CSV is byte-identical across runs and worker counts once
-``no_timing`` zeroes the wall-clock column.
+spec, as one table of job columns (``problem._JobTable``), until a cell
+asks for another one. A sweep runs its cells seed-major (seed, then
+algorithm, then VM count), so each seed's jobs are drawn straight into
+columns once per process, building no ``Job``, and only the seed's first
+cell counts the draw in its ``wall_ms``. A sweep over a jobs file reads it
+afresh once, before any cell, and forked workers inherit its table. Rows
+are always written sorted by (algorithm, num_vms, seed) no matter how
+cells were executed, and all floats are serialized with full round-trip
+precision, so the results CSV is byte-identical across runs and worker
+counts once ``no_timing`` zeroes the wall-clock column.
 """
 
 from __future__ import annotations
@@ -34,15 +33,15 @@ import numpy as np
 from .baselines import LJF_MODES, fcfs_schedule, ljf_schedule
 from .evaluator import ScheduleSimulator
 from .lca import LcaParams, optimize
-from .problem import Job, MetricWeights, assignment_domain, decode_random_key, make_objective
+from .problem import MetricWeights, _job_columns, _JobTable, assignment_domain, decode_random_key, make_objective
 from .workload import (
     DEFAULT_LEN_MAX,
     DEFAULT_LEN_MIN,
     DEFAULT_SPEED_CHOICES,
     FleetSpec,
     WorkloadSpec,
+    _drawn_jobs,
     generate_fleet,
-    generate_workload,
     read_jobs_csv,
     _write_csv,
 )
@@ -159,12 +158,12 @@ _SUMMARY_METRICS = tuple(name.removeprefix("mean_") for name in SUMMARY_CSV_HEAD
 
 
 @functools.lru_cache(maxsize=1)
-def _jobs(source: str | WorkloadSpec) -> tuple[Job, ...]:
-    """The jobs of a jobs-file path or a workload spec, kept until another
-    source is asked for or a sweep over a jobs file starts."""
+def _jobs(source: str | WorkloadSpec) -> _JobTable:
+    """The job table of a jobs-file path or of a workload spec, drawn with no ``Job`` built; kept until
+    another source is asked for or a sweep over a jobs file starts."""
     if isinstance(source, WorkloadSpec):
-        return tuple(generate_workload(source))
-    return tuple(read_jobs_csv(source))
+        return _drawn_jobs(source)
+    return _job_columns(read_jobs_csv(source))
 
 
 def _cell_inputs(config: ExperimentConfig, num_vms: int, seed: int):
@@ -197,9 +196,8 @@ def run_cell(config: ExperimentConfig, algorithm: str, num_vms: int, seed: int) 
     """Build the cell's instance, schedule it, and score the result.
 
     Deterministic per (config, seed) apart from ``wall_ms``, which
-    ``config.no_timing`` pins to zero. A ``config.jobs_file`` is read once
-    per process and its jobs reused until a sweep starts or a cell asks
-    for another source, so a file rewritten in between is not reread.
+    ``config.no_timing`` pins to zero. Jobs come from the process's one
+    cached job table, so a jobs file rewritten mid-sweep is not reread.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")

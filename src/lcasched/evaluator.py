@@ -9,8 +9,8 @@ is the mean wait between arrival and service start.
 ``ScheduleSimulator`` unpacks an instance into arrays once so that many
 assignments can be scored cheaply; the job arrays, the (arrival, id)
 service order and its inverse come from ``problem._job_columns``, shared
-with the scorers and the baselines, which remembers the columns of the
-last tuple of jobs it unpacked. ``make_objective`` returns one of two
+with the scorers and the baselines, which reads a job table's columns as
+they are. ``make_objective`` returns one of two
 scorers over random-key vectors. Both are ``ScheduleSimulator``s that
 decode keys into service order; the batch one scores by exact integer sums.
 ``_ReplayScorer``, for staggered instances, replays the keys, and its
@@ -23,6 +23,7 @@ an exact reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left
@@ -92,13 +93,19 @@ class ScheduleSimulator:
             raise ValueError("jobs and vms must be non-empty")
         self.num_jobs = len(jobs)
         self.num_vms = len(vms)
-        columns = _job_columns(jobs)
-        self._service_order = order = columns.service_order
+        self._columns = columns = _job_columns(jobs)
+        self._service_order = columns.service_order
         self.speeds = np.array([v.speed for v in vms], dtype=float)
-        self._arrivals_sorted = columns.arrivals[order]
-        self._lengths_sorted = columns.lengths[order].astype(float)
         self._min_arrival = float(columns.arrivals.min())
         self._vm_key = np.min_scalar_type(self.num_vms - 1)
+
+    @functools.cached_property
+    def _arrivals_sorted(self) -> np.ndarray:  # built on a replay's first call; a BatchScorer never replays
+        return self._columns.arrivals[self._service_order]
+
+    @functools.cached_property
+    def _lengths_sorted(self) -> np.ndarray:
+        return self._columns.lengths[self._service_order].astype(float)
 
     def _sorted_keys(self, assignment) -> np.ndarray:
         """Each job's VM in service order, as ``_vm_key`` integers, once
@@ -171,7 +178,6 @@ class _ReplayScorer(ScheduleSimulator):
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
         super().__init__(jobs, vms)
         self.weights = weights
-        self._place = _job_columns(jobs).place
 
     def _vm_keys(self, x: np.ndarray) -> np.ndarray:
         """Each job's VM in service order, as the replay's narrow VM keys."""
@@ -201,7 +207,7 @@ class _ReplayDraft(_CopyDraft):
     keys in a copy and replays it."""
 
     def __init__(self, scorer: _ReplayScorer, vm_sorted: np.ndarray):
-        self._place, self._top = scorer._place, scorer.num_vms - 1
+        self._place, self._top = scorer._columns.place, scorer.num_vms - 1
         super().__init__(scorer._score, vm_sorted)
 
     def _write(self, vm_sorted: np.ndarray, positions: Sequence[int], keys: Sequence[float]) -> None:
@@ -242,9 +248,7 @@ class BatchScorer(_ReplayScorer):
         super().__init__(jobs, vms, weights)
         if not self.applies(jobs):
             raise ValueError("exact batch scoring needs zero arrivals and n * total length < 2**63")
-        columns = _job_columns(jobs)
-        self._lengths_by_rank = columns.lengths[self._service_order]  # id order, as every arrival is zero
-        self._length = columns.length_list
+        self._lengths_by_rank = self._columns.lengths[self._service_order]  # id order, as every arrival is zero
         self._speed = [v.speed for v in vms]
         self._class_speed = sorted(set(self._speed))
         self._class_of = [self._class_speed.index(s) for s in self._speed]
@@ -331,8 +335,9 @@ class BatchDraft:
     def __init__(self, scorer: BatchScorer, x: np.ndarray):
         vm_sorted = scorer._vm_keys(x)
         group, starts, ends, weighted, totals = scorer._sums(vm_sorted)
-        self._place, self._length, self._class_of = scorer._place, scorer._length, scorer._class_of
-        self._top, self._makespan, self._value = scorer.num_vms - 1, scorer.weights.makespan, scorer._value
+        self._place, self._length = scorer._columns.place, scorer._columns.length_list
+        self._class_of, self._top = scorer._class_of, scorer.num_vms - 1
+        self._makespan, self._value = scorer.weights.makespan, scorer._value
         self._vm_by_rank = vm_sorted.tolist()
         ranks, lengths = group.tolist(), scorer._lengths_by_rank[group].tolist()
         bounds = list(zip(starts.tolist(), ends.tolist()))

@@ -190,7 +190,7 @@ def play_week(
     must appear in exactly one match. One uniform draw, ``rng.random()``,
     is consumed per match, in fixture order.
     """
-    fitnesses = np.asarray(fitnesses, dtype=float).tolist()
+    fitnesses = list(map(float, fitnesses))
     won: list[bool | None] = [None] * len(fitnesses)  # None until the team has played
     for a, b in matches:
         if a == b:

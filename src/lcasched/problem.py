@@ -8,11 +8,10 @@ the VM index for the job at position ``d``.
 
 from __future__ import annotations
 
-import collections
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -63,28 +62,41 @@ class Job:
             raise ValueError("job length must fit a 64-bit integer")
 
 
-_JobColumns = collections.namedtuple("_JobColumns", "ids arrivals lengths arrival_list length_list service_order place")
-_remembered = [(None, None)]  # the last tuple of jobs unpacked, and its columns
+class _JobTable(Sequence):
+    """Jobs as columns, which every layer reads; a ``Job`` is built only when one is read. Float ``arrivals``
+    and int64 ``lengths`` are checked as ``Job`` checks them (int64 ``ids`` come from checked jobs or a range)
+    and kept read-only, beside the dispatch loop's lists and ``place``, the inverse of ``service_order``."""
 
-
-def _job_columns(jobs: Sequence[Job]) -> _JobColumns:
-    """Ids and lengths (int64) and arrivals (float) of ``jobs``, as arrays and as the lists the dispatch
-    loop reads, the (arrival, id) service order, and ``place``, its inverse (job -> service position), as
-    a list. The last tuple's columns are remembered by identity, with read-only arrays (the tuple is kept,
-    so its id is not reused); a list never is."""
-    last_jobs, last_columns = _remembered[0]  # one read: a thread storing a new pair cannot split it
-    if jobs is last_jobs:
-        return last_columns
-    ids = np.array([j.id for j in jobs], dtype=np.int64)
-    arrivals = np.array([j.arrival_time for j in jobs], dtype=float)
-    lengths = np.array([j.length for j in jobs], dtype=np.int64)
-    order = np.lexsort((ids, arrivals))
-    columns = _JobColumns(ids, arrivals, lengths, arrivals.tolist(), lengths.tolist(), order, order.argsort().tolist())
-    if type(jobs) is tuple:
-        for array in (ids, arrivals, lengths, columns.service_order):
+    def __init__(self, ids: np.ndarray, arrivals: np.ndarray, lengths: np.ndarray):
+        bad = arrivals[~((0.0 <= arrivals) & (arrivals < math.inf))]  # NaN fails both comparisons
+        if bad.size:
+            raise ValueError(f"arrival_time must be finite and nonnegative, got {bad.tolist()[0]!r}")
+        if (lengths <= 0).any():
+            raise ValueError("length must be positive")
+        self.service_order = order = np.lexsort((ids, arrivals))
+        for array in (ids, arrivals, lengths, order):
             array.flags.writeable = False
-        _remembered[0] = (jobs, columns)
-    return columns
+        self.ids, self.arrivals, self.lengths = ids, arrivals, lengths
+        self.arrival_list, self.length_list, self.place = arrivals.tolist(), lengths.tolist(), order.argsort().tolist()
+
+    def __len__(self) -> int:
+        return len(self.length_list)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(Job, self.ids[index].tolist(), self.arrival_list[index], self.length_list[index]))
+        return Job(self.ids.item(index), self.arrival_list[index], self.length_list[index])
+
+
+def _job_columns(jobs: Sequence[Job]) -> _JobTable:
+    """``jobs`` as a job table: a table as it is, any other sequence unpacked afresh."""
+    if type(jobs) is _JobTable:
+        return jobs
+    return _JobTable(
+        np.array([j.id for j in jobs], dtype=np.int64),
+        np.array([j.arrival_time for j in jobs], dtype=float),
+        np.array([j.length for j in jobs], dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -165,7 +177,7 @@ def make_objective(
 
     Each call decodes the keys, scores the non-preemptive schedule, and
     returns the weighted mix of makespan, average completion time, and
-    average response time. The instance is unpacked once up front.
+    average response time. The jobs are unpacked into a table up front.
 
     Both objectives are ``ScheduleSimulator``s that decode keys into
     service order, and the batch one scores by exact integer sums: batch
@@ -177,7 +189,7 @@ def make_objective(
     """
     from .evaluator import BatchScorer, _ReplayScorer
 
-    jobs = tuple(jobs)  # _job_columns remembers the last tuple, so the scorer's layers unpack it once
+    jobs = _job_columns(jobs)  # unpacked once here; the scorer's layers share the table's columns
     if BatchScorer.applies(jobs):
         return BatchScorer(jobs, vms, weights)
     return _ReplayScorer(jobs, vms, weights)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .problem import Job, Vm
+from .problem import Job, Vm, _JobTable
 
 __all__ = [
     "CsvFormatError",
@@ -94,13 +94,18 @@ class FleetSpec:
 
 def generate_workload(spec: WorkloadSpec) -> list[Job]:
     """Jobs with ids 0..n-1, i.i.d. uniform lengths, arrivals per the spec."""
+    return _drawn_jobs(spec)[:]
+
+
+def _drawn_jobs(spec: WorkloadSpec) -> _JobTable:
+    """``generate_workload``'s jobs as a table of checked columns, building no ``Job``."""
     rng = np.random.default_rng(spec.seed)
     lengths = rng.integers(spec.len_min, spec.len_max, size=spec.job_count, endpoint=True)
     if spec.arrival_rate is None:
         arrivals = np.zeros(spec.job_count)
     else:
         arrivals = np.cumsum(rng.exponential(1.0 / spec.arrival_rate, size=spec.job_count))
-    return list(map(Job, range(spec.job_count), arrivals.tolist(), lengths.tolist()))
+    return _JobTable(np.arange(spec.job_count, dtype=np.int64), arrivals, lengths)
 
 
 def generate_fleet(spec: FleetSpec) -> list[Vm]:

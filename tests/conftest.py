@@ -51,3 +51,17 @@ def three_jobs_two_vms():
     jobs = [Job(0, 0.0, 10), Job(1, 0.0, 20), Job(2, 0.0, 30)]
     vms = [Vm(0, 1.0), Vm(1, 2.0)]
     return jobs, vms
+
+
+@pytest.fixture
+def jobs_built(monkeypatch):
+    """A list that gains the id of every ``Job`` built from now on."""
+    built = []
+    post_init = Job.__post_init__
+
+    def counting(job):
+        built.append(job.id)
+        post_init(job)
+
+    monkeypatch.setattr(Job, "__post_init__", counting)
+    return built

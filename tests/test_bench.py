@@ -96,6 +96,14 @@ class TestRunCell:
         spread = {alg: rows[alg].avg_completion for alg in rows}
         assert max(spread.values()) < 10 * min(spread.values())
 
+    @pytest.mark.parametrize("arrival_rate", [None, 3.0])
+    def test_cells_of_a_generated_workload_build_no_job(self, arrival_rate, jobs_built):
+        config = tiny_config(arrival_rate=arrival_rate)
+        for algorithm in ("lca", "fcfs"):
+            lcasched.bench._jobs.cache_clear()  # the cell draws its workload afresh
+            run_cell(config, algorithm, 3, seed=4)
+        assert jobs_built == []
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             run_cell(tiny_config(), "spt", 2, seed=1)

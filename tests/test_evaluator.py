@@ -320,6 +320,19 @@ class TestBatchScorer:
         assert anchor.fitness == scorer.score(np.array([1, 0, 1, 0]))
         assert anchor.draft([1], [1.0]) == scorer.score(np.array([1, 1, 1, 0]))
 
+    def test_holds_no_replay_columns_until_a_replay_needs_them(self):
+        jobs = [Job(i, 0.0, 10 + 7 * i) for i in range(12)]
+        vms = [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)]
+        scorer = BatchScorer(jobs, vms, MetricWeights(1.0, 1.0, 1.0))
+        anchor = scorer.delta_scorer(np.full(12, 1.5))
+        anchor.draft([0, 5], [0.5, 2.5])
+        anchor.commit()
+        scorer(np.linspace(0.0, 3.0, 12))
+        assert not {"_arrivals_sorted", "_lengths_sorted"} & set(vars(scorer))
+        assignment = np.arange(12) % 3
+        assert scorer.metrics(assignment) == ScheduleSimulator(jobs, vms).metrics(assignment)
+        assert {"_arrivals_sorted", "_lengths_sorted"} <= set(vars(scorer))
+
     def test_bad_assignment_rejected(self, three_jobs_two_vms):
         scorer = BatchScorer(*three_jobs_two_vms)
         for bad in (np.array([0, 1, 2]), np.array([0, -1, 0]), np.array([0, 1]), np.array([0.0, 1.0, 0.0])):

@@ -14,8 +14,10 @@ from lcasched import (
     fcfs_schedule,
     ljf_schedule,
     make_objective,
+    WorkloadSpec,
 )
-from lcasched.problem import _job_columns
+from lcasched.problem import _job_columns, _JobTable
+from lcasched.workload import _drawn_jobs
 
 
 class TestDecodeRandomKey:
@@ -245,7 +247,7 @@ def _results(jobs, vms):
 
 
 class TestJobColumns:
-    """A tuple's columns are remembered by identity; a list's never are."""
+    """A job table hands out its columns as they are; any other sequence is unpacked afresh."""
 
     VMS = [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)]
 
@@ -255,7 +257,7 @@ class TestJobColumns:
         jobs[4] = Job(4, 0.5, 900)
         jobs.reverse()
         after = _results(jobs, self.VMS)
-        assert after == _results(tuple(jobs), self.VMS) != before
+        assert after == _results(tuple(jobs), self.VMS) == _results(_table(jobs), self.VMS) != before
 
     def test_tuples_with_the_same_ids_get_their_own_results(self):
         short = tuple(Job(i, 0.0, 10 + i) for i in range(6))
@@ -263,18 +265,47 @@ class TestJobColumns:
         expected = [_results(list(jobs), self.VMS) for jobs in (short, long)]
         for _ in range(2):
             assert [_results(jobs, self.VMS) for jobs in (short, long)] == expected
-            assert [_results(jobs, self.VMS) for jobs in (long, short)] == expected[::-1]
+            assert [_results(_table(jobs), self.VMS) for jobs in (long, short)] == expected[::-1]
 
-    def test_remembered_arrays_are_read_only(self):
-        jobs = tuple(Job(i, 0.5 * i, 10) for i in range(4))
-        columns = _job_columns(jobs)
-        assert _job_columns(jobs) is columns
-        for array in (columns.ids, columns.arrivals, columns.lengths, columns.service_order):
+    def test_table_arrays_are_read_only(self):
+        table = _table([Job(i, 0.5 * i, 10) for i in range(4)])
+        assert _job_columns(table) is table
+        for array in (table.ids, table.arrivals, table.lengths, table.service_order):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
-        listed = list(jobs)
+        listed = list(table)
         assert _job_columns(listed) is not _job_columns(listed)
-        assert _job_columns(listed).arrivals.flags.writeable
+
+    def test_table_reads_back_its_jobs(self):
+        jobs = [Job(7, 1.5, 10), Job(2, 0.0, 2**63 - 1), Job(0, 0.25, 3)]
+        table = _table(jobs)
+        assert len(table) == 3 and list(table) == jobs and list(reversed(table)) == jobs[::-1]
+        assert [table[i] for i in range(-3, 3)] == jobs + jobs
+        assert table[::-2] == jobs[::-2] and table[5:] == []
+        assert all(type(job.id) is int and type(job.length) is int for job in table)
+        with pytest.raises(IndexError):
+            table[3]
+
+    @pytest.mark.parametrize(
+        "ids, arrivals, lengths, field",
+        [
+            ([0, 1], [0.0, np.inf], [5, 5], "arrival_time"),
+            ([0, 1], [np.nan, 0.0], [5, 5], "arrival_time"),
+            ([0, 1], [0.0, -0.5], [5, 5], "arrival_time"),
+            ([0, 1], [0.0, 0.0], [5, 0], "length"),
+        ],
+    )
+    def test_columns_are_checked_as_a_job_is(self, ids, arrivals, lengths, field):
+        with pytest.raises(ValueError, match=field):
+            _JobTable(np.array(ids, dtype=np.int64), np.array(arrivals), np.array(lengths, dtype=np.int64))
+
+    @pytest.mark.parametrize("arrival_rate", [None, 3.0])
+    def test_make_objective_builds_no_job_from_a_table(self, arrival_rate, request):
+        table = _drawn_jobs(WorkloadSpec(job_count=40, arrival_rate=arrival_rate, seed=2))
+        expected = make_objective(list(table), self.VMS)(np.full(40, 1.5))
+        built = request.getfixturevalue("jobs_built")
+        assert make_objective(table, self.VMS)(np.full(40, 1.5)) == expected
+        assert built == []
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -288,6 +319,9 @@ class TestJobColumns:
         jobs = [Job(i, a, n) for i, a, n in zip(ids, arrivals, lengths)]
         vms = [Vm(v, s) for v, s in enumerate(speeds)]
         expected = _results(jobs, vms)
-        as_tuple = tuple(jobs)
-        assert _results(as_tuple, vms) == expected  # unpacks the tuple, then reuses its columns
-        assert _results(as_tuple, vms) == expected  # every column remembered
+        assert _results(tuple(jobs), vms) == expected
+        assert _results(_table(jobs), vms) == expected
+
+
+def _table(jobs):
+    return _job_columns(list(jobs))

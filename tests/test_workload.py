@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lcasched.workload
+from lcasched.workload import _drawn_jobs
 from lcasched import (
     CsvFormatError,
     FleetSpec,
@@ -83,6 +84,24 @@ class TestGenerateWorkload:
     def test_values_are_python_numbers(self):
         jobs = generate_workload(WorkloadSpec(job_count=50, arrival_rate=2.0, seed=8))
         assert all(type(j.arrival_time) is float and type(j.length) is int for j in jobs)
+
+    @pytest.mark.parametrize("arrival_rate", [None, 2.0])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**40])
+    def test_drawn_table_equals_the_generated_jobs(self, arrival_rate, seed):
+        spec = WorkloadSpec(job_count=60, len_min=5, len_max=900, arrival_rate=arrival_rate, seed=seed)
+        jobs = generate_workload(spec)
+        table = _drawn_jobs(spec)
+        assert len(table) == len(jobs) and list(table) == jobs
+        assert [table[i] for i in range(-60, 60)] == jobs + jobs
+        for piece in (slice(None), slice(3, 17), slice(-5, None), slice(None, None, -7), slice(50, 5, -3)):
+            assert table[piece] == jobs[piece]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in accumulate")
+    def test_arrivals_overflowing_to_inf_are_rejected(self):
+        spec = WorkloadSpec(job_count=50, arrival_rate=1e-308, seed=1)  # mean gap 1e308; the sum passes 1.8e308
+        for draw in (generate_workload, _drawn_jobs):
+            with pytest.raises(ValueError, match="arrival_time must be finite and nonnegative, got inf"):
+                draw(spec)
 
 
 class TestGenerateFleet:
