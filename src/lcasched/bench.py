@@ -40,6 +40,7 @@ from .workload import (
     DEFAULT_SPEED_CHOICES,
     FleetSpec,
     WorkloadSpec,
+    _check_length_bounds,
     _drawn_jobs,
     generate_fleet,
     read_jobs_csv,
@@ -103,8 +104,7 @@ class ExperimentConfig:
             raise ValueError(f"ljf_mode must be one of {LJF_MODES}")
         if self.jobs_file is None and self.num_jobs < 1:
             raise ValueError("num_jobs must be positive")
-        if not 0 < self.len_min <= self.len_max:
-            raise ValueError("need 0 < len_min <= len_max")
+        _check_length_bounds(self.len_min, self.len_max)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.base_seed < 0:

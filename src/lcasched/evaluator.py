@@ -40,16 +40,11 @@ __all__ = [
     "JobTimeline",
     "ScheduleMetrics",
     "ScheduleSimulator",
-    "InstanceTooLargeError",
     "evaluate",
     "brute_force_optimal",
 ]
 
 BRUTE_FORCE_CAP = 10_000_000
-
-
-class InstanceTooLargeError(ValueError):
-    """Raised when an instance exceeds the exhaustive-enumeration cap."""
 
 
 @dataclass(frozen=True)
@@ -107,9 +102,8 @@ class ScheduleSimulator:
     def _lengths_sorted(self) -> np.ndarray:
         return self._columns.lengths[self._service_order].astype(float)
 
-    def _sorted_keys(self, assignment) -> np.ndarray:
-        """Each job's VM in service order, as ``_vm_key`` integers, once
-        ``assignment`` is checked to hold one VM index per job."""
+    def _replay(self, assignment: np.ndarray):
+        """Replay ``assignment`` once it is checked to hold one VM index per job."""
         assignment = np.asarray(assignment)
         if assignment.shape != (self.num_jobs,):
             raise ValueError("assignment must hold one VM index per job")
@@ -117,10 +111,7 @@ class ScheduleSimulator:
             raise ValueError("assignment must hold integer VM indices")
         if int(assignment.min()) < 0 or int(assignment.max()) >= self.num_vms:
             raise ValueError("assignment refers to a VM that does not exist")
-        return assignment[self._service_order].astype(self._vm_key)
-
-    def _replay(self, assignment: np.ndarray):
-        return self._replay_sorted(self._sorted_keys(assignment))
+        return self._replay_sorted(assignment[self._service_order].astype(self._vm_key))
 
     def _replay_sorted(self, vm_sorted: np.ndarray, weights: MetricWeights | None = None):
         """Replay from each job's VM in service order, as ``_vm_key`` integers
@@ -303,10 +294,6 @@ class BatchScorer(_ReplayScorer):
         _, _, _, weighted, totals = self._sums(vm_sorted)
         return self._value(self._fold(weighted), self._fold(totals), totals.tolist())
 
-    def score(self, assignment: np.ndarray) -> float:
-        """Weighted objective of ``assignment`` from scratch."""
-        return self._score(self._sorted_keys(assignment))
-
     def delta_scorer(self, x: np.ndarray) -> "BatchDraft":
         """Draft scorer anchored at formation ``x`` (see ``BatchDraft``)."""
         return BatchDraft(self, x)
@@ -316,7 +303,7 @@ class BatchDraft:
     """One formation's exact sums, and drafts that move a few of its jobs. The
     formation ``x`` is a key vector, decoded as a call decodes it: each key is
     floored and clamped into the VM range, so a VM index past the last VM is
-    read as the last VM, not rejected as ``score`` rejects it.
+    read as the last VM, not rejected as ``metrics`` rejects it.
 
     Per VM it keeps the service ranks of its jobs (sorted) and their
     lengths in that order. With S_v written as T_v + sum over pairs of v's
@@ -440,11 +427,12 @@ def brute_force_optimal(
 
     Enumerates all num_vms ** num_jobs assignments in lexicographic order
     and keeps the first strict improvement, so ties resolve to the
-    lexicographically smallest vector. Guarded by ``BRUTE_FORCE_CAP``.
+    lexicographically smallest vector. Past ``BRUTE_FORCE_CAP`` assignments
+    it raises ``ValueError``.
     """
     simulator = ScheduleSimulator(jobs, vms)
     if simulator.num_vms ** simulator.num_jobs > BRUTE_FORCE_CAP:
-        raise InstanceTooLargeError(
+        raise ValueError(
             f"{simulator.num_vms}^{simulator.num_jobs} assignments exceed "
             f"the enumeration cap of {BRUTE_FORCE_CAP}"
         )

@@ -28,8 +28,6 @@ __all__ = [
     "generate_league_schedule",
     "win_probability",
     "play_week",
-    "truncated_geometric",
-    "swot_formation",
     "swot_update",
     "optimize",
 ]
@@ -67,10 +65,6 @@ class BoxDomain:
     @property
     def dimension(self) -> int:
         return self.lower.size
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
 @dataclass(frozen=True)
@@ -205,83 +199,31 @@ def play_week(
     return np.array(won, dtype=bool)
 
 
-def truncated_geometric(r, dimension: int, change_prob: float):
-    """Inverse-transform of a geometric law truncated to [1, dimension].
-
-    Maps quantiles ``r`` in [0, 1) to counts; vectorized over ``r``. The
-    count is nondecreasing in ``r``, hits 1 as ``r`` approaches 0 and
-    ``dimension`` as ``r`` approaches 1.
-    """
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
-    if not 0.0 < change_prob < 1.0:
-        raise ValueError("change_prob must lie strictly between 0 and 1")
-    if isinstance(r, (float, int)):
-        r = float(r)
-        if not 0.0 <= r < 1.0:
-            raise ValueError("quantile must lie in [0, 1)")
-        return _count_quantile(dimension, change_prob)(r)
-    r = np.asarray(r, dtype=float)
-    if np.any(~np.isfinite(r)) or np.any((r < 0.0) | (r >= 1.0)):
-        raise ValueError("quantile must lie in [0, 1)")
-    log_keep = math.log1p(-change_prob)
-    # total mass of the untruncated law on 1..dimension: 1 - (1 - p)^dimension
-    total = -np.expm1(dimension * log_keep)
-    counts = np.ceil(np.log1p(-r * total) / log_keep)
-    counts = np.clip(counts, 1, dimension).astype(np.int64)
-    return counts if counts.ndim else int(counts)
-
-
 def _count_quantile(dimension: int, change_prob: float):
-    """``truncated_geometric`` of one float quantile, its constants computed once."""
+    """The change count as a function of one quantile r in [0, 1): the inverse
+    CDF of a geometric law truncated to [1, dimension], whose CDF is
+    F(k) = (1 - (1 - p)^k) / (1 - (1 - p)^dimension) for p = ``change_prob``.
+    It gives the least k with F(k) >= r, so it is nondecreasing in r, 1 at
+    r = 0 and ``dimension`` as r approaches 1. Its constants are computed once."""
     log_keep = math.log1p(-change_prob)
     total = -math.expm1(dimension * log_keep)
     return lambda r: min(dimension, max(1, math.ceil(math.log1p(-r * total) / log_keep)))
-
-
-def swot_formation(
-    best: np.ndarray,
-    current: np.ndarray,
-    opponent_formation: np.ndarray,
-    rival_opponent_formation: np.ndarray,
-    won: bool,
-    rival_opponent_won: bool,
-    retreat_coeff: float,
-    approach_coeff: float,
-    gain_rival: np.ndarray,
-    gain_opponent: np.ndarray,
-) -> np.ndarray:
-    """Deterministic core of the weekly rebuild, anchored at ``best``.
-
-    The arguments hold the changed slots only, or one slot's floats. Two
-    pulls act on them: one relative to the team that just played our next
-    rival (approach it if it won, retreat if it lost) and one relative to
-    this week's opponent (retreat from it if we beat it, approach it if it
-    beat us). The four win/loss combinations cover the strength/weakness
-    versus opportunity/threat cases.
-    """
-    if rival_opponent_won:
-        rival_pull = approach_coeff * (rival_opponent_formation - current)
-    else:
-        rival_pull = retreat_coeff * (current - rival_opponent_formation)
-    if won:
-        opponent_pull = retreat_coeff * (current - opponent_formation)
-    else:
-        opponent_pull = approach_coeff * (opponent_formation - current)
-    return best + (gain_rival * rival_pull + gain_opponent * opponent_pull)
 
 
 def _drafter(params: LcaParams, lower, upper):
     """The weekly draft of one run within the bounds ``lower`` and ``upper``:
     ``draft(rng, won, rival_opponent_won, best, row, own, opponent, over_o,
     rival_opponent, over_r)`` draws the change count, the slots and their
-    gains, in that order, and rebuilds the slots by ``swot_formation``
-    anchored at ``best``, clamped as ``np.clip`` would: ``{slot: key}`` in
-    draw order. Each side's formation is its row under its overrides
-    (``own`` for the team). Below 128 slots the slots are a permutation prefix, which keeps
-    the stream of small problems, and the gains a (2, count) block. From 128
-    up one ``rng.random(3 * count)`` gives Floyd's uniforms and both gain
-    rows, so every draw is a double and ``rng`` may read them from blocks."""
+    gains, in that order, and rebuilds each slot as ``best`` plus two pulls,
+    clamped as ``np.clip`` would: ``{slot: key}`` in draw order. One pull is
+    relative to the team that just played our next rival (approach it if it
+    won, retreat if it lost), one to this week's opponent (retreat from it if
+    we beat it, approach it if it beat us). Each side's formation is its row
+    under its overrides (``own`` for the team). Below 128 slots the slots are
+    a permutation prefix, which keeps the stream of small problems, and the
+    gains a (2, count) block. From 128 up one ``rng.random(3 * count)`` gives
+    Floyd's uniforms and both gain rows, so every draw is a double and
+    ``rng`` may read them from blocks."""
     dimension = len(lower)
     count_of = _count_quantile(dimension, params.change_prob)
     retreat, approach = params.retreat_coeff, params.approach_coeff
@@ -306,7 +248,7 @@ def _drafter(params: LcaParams, lower, upper):
         for j, t, g_rival, g_opponent in zip(last, picks, gains, gains[count:]):
             s = j if t in keys else t
             c, o, r = own.get(s, row[s]), over_o.get(s, opponent[s]), over_r.get(s, rival_opponent[s])
-            # swot_formation of one slot: the same products, summed in the same order
+            # keep this order of products and sums: keys equal the vector formula bit for bit
             x = best[s] + (
                 g_rival * (rival_coeff * (r - c if rival_opponent_won else c - r))
                 + g_opponent * (opponent_coeff * (c - o if won else o - c))
@@ -335,7 +277,7 @@ def swot_update(
     order. Below 128 slots the slots are ``rng.permutation(dimension)[:count]``;
     from 128 up Floyd's sampling picks them in O(count) from ``count``
     uniforms, drawn in one call with the gains. Changed slots are rebuilt
-    by ``swot_formation`` and clamped into the domain; unchanged slots
+    by ``_drafter``'s two pulls and clamped into the domain; unchanged slots
     carry the team's best formation exactly. ``optimize`` drafts through
     the same draw; from 128 slots up it reads the same doubles from blocks.
     """

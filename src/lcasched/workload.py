@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .problem import Job, Vm, _JobTable
+from .problem import Job, Vm, _is_integer, _JobTable
 
 __all__ = [
     "CsvFormatError",
@@ -66,12 +66,20 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.job_count < 1:
             raise ValueError("job_count must be positive")
-        if not 0 < self.len_min <= self.len_max:
-            raise ValueError("need 0 < len_min <= len_max")
+        _check_length_bounds(self.len_min, self.len_max)
         if self.arrival_rate is not None and not 0.0 < self.arrival_rate < math.inf:
             raise ValueError(f"arrival_rate must be finite and positive when set, got {self.arrival_rate!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def _check_length_bounds(len_min, len_max) -> None:
+    """Reject job length bounds unless both are integers with 0 < len_min <= len_max."""
+    for name, value in (("len_min", len_min), ("len_max", len_max)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 0 < len_min <= len_max:
+        raise ValueError("need 0 < len_min <= len_max")
 
 
 @dataclass(frozen=True)

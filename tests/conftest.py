@@ -34,6 +34,40 @@ def naive_metrics(jobs, vms, assignment):
     )
 
 
+def swot_formation(
+    best,
+    current,
+    opponent_formation,
+    rival_opponent_formation,
+    won,
+    rival_opponent_won,
+    retreat_coeff,
+    approach_coeff,
+    gain_rival,
+    gain_opponent,
+):
+    """Reference for the optimizer's weekly rebuild, anchored at ``best``,
+    as a vector formula. Kept independent of ``lca._drafter``, which
+    rebuilds one slot at a time, on purpose.
+
+    The arguments hold the changed slots only, or one slot's floats. Two
+    pulls act on them: one relative to the team that just played our next
+    rival (approach it if it won, retreat if it lost) and one relative to
+    this week's opponent (retreat from it if we beat it, approach it if it
+    beat us). The four win/loss combinations cover the strength/weakness
+    versus opportunity/threat cases.
+    """
+    if rival_opponent_won:
+        rival_pull = approach_coeff * (rival_opponent_formation - current)
+    else:
+        rival_pull = retreat_coeff * (current - rival_opponent_formation)
+    if won:
+        opponent_pull = retreat_coeff * (current - opponent_formation)
+    else:
+        opponent_pull = approach_coeff * (opponent_formation - current)
+    return best + (gain_rival * rival_pull + gain_opponent * opponent_pull)
+
+
 def random_instance(rng, max_jobs=6, max_vms=3, staggered=False):
     """Tiny fuzz instance; ``staggered`` draws nonzero arrivals."""
     n = int(rng.integers(1, max_jobs + 1))

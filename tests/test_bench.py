@@ -272,6 +272,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name,bounds",
+        [("len_max", dict(len_min=1, len_max=2.5)), ("len_min", dict(len_min=1.0)), ("len_min", dict(len_min=True))],
+    )
+    def test_length_bounds_must_be_integers(self, name, bounds):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
+            ExperimentConfig(**bounds)
+
 
 class TestCli:
     def test_generate_run_oracle_roundtrip(self, tmp_path, capsys):

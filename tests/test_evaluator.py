@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lcasched import (
-    InstanceTooLargeError,
     Job,
     MetricWeights,
     ScheduleSimulator,
@@ -225,12 +224,12 @@ class TestBatchScorer:
         scorer = BatchScorer(jobs, vms, weights)
         simulator = ScheduleSimulator(jobs, vms)
         anchor = BatchDraft(scorer, assignment)
-        assert anchor.fitness == scorer.score(assignment)
+        assert anchor.fitness == scorer(assignment.astype(float))
         for positions, targets, commit in drafts:
             moved = assignment.copy()
             moved[positions] = targets
             value = anchor.draft(positions, targets)
-            assert value == scorer.score(moved)
+            assert value == scorer(moved.astype(float))
             # The replay's starts are a cumsum over all queues minus the queue's
             # offset, so its error scales with the total busy time, not the value.
             busy = sum(jobs[p].length / vms[v].speed for p, v in enumerate(moved))
@@ -242,7 +241,7 @@ class TestBatchScorer:
             if commit:
                 anchor.commit()
                 assignment = moved
-            assert anchor.fitness == scorer.score(assignment)
+            assert anchor.fitness == scorer(assignment.astype(float))
 
     def test_hand_values(self):
         # VM 0 (speed 1) serves ids 0 and 2, VM 1 (speed 2) serves id 1
@@ -250,16 +249,16 @@ class TestBatchScorer:
         vms = [Vm(0, 1.0), Vm(1, 2.0)]
         scorer = BatchScorer(jobs, vms, MetricWeights(1.0, 1.0, 1.0))
         # finishes 10, 10, 40: makespan 40, completion 20, response 10/3
-        assert scorer.score(np.array([0, 1, 0])) == pytest.approx(40.0 + 20.0 + 10.0 / 3.0, rel=1e-15)
+        assert scorer(np.array([0.0, 1.0, 0.0])) == pytest.approx(40.0 + 20.0 + 10.0 / 3.0, rel=1e-15)
         anchor = BatchDraft(scorer, np.array([0, 1, 0]))
         # swap jobs 0 and 1: VM 0 serves id 1 then id 2 (finish 20, 50), VM 1 serves id 0 (5)
-        assert anchor.draft([0, 1], [1, 0]) == scorer.score(np.array([1, 0, 0]))
-        assert anchor.fitness == scorer.score(np.array([0, 1, 0]))
+        assert anchor.draft([0, 1], [1, 0]) == scorer(np.array([1.0, 0.0, 0.0]))
+        assert anchor.fitness == scorer(np.array([0.0, 1.0, 0.0]))
         anchor.commit()
         assert anchor.fitness == pytest.approx(50.0 + 75.0 / 3.0 + 20.0 / 3.0, rel=1e-15)
         # a repeated commit without a new draft changes nothing
         anchor.commit()
-        assert anchor.fitness == scorer.score(np.array([1, 0, 0]))
+        assert anchor.fitness == scorer(np.array([1.0, 0.0, 0.0]))
 
     def test_moves_to_the_same_vm_are_free(self):
         jobs = [Job(i, 0.0, 5 + i) for i in range(6)]
@@ -269,14 +268,14 @@ class TestBatchScorer:
 
     def test_anchor_decodes_keys_like_a_call(self):
         # the anchor is a key vector, floored and clamped into the VM range as a
-        # call decodes it; score instead rejects a VM index that does not exist
+        # call decodes it; metrics instead rejects a VM index that does not exist
         jobs = [Job(i, 0.0, 10 + i) for i in range(3)]
         scorer = BatchScorer(jobs, [Vm(0, 1.0), Vm(1, 2.0)], MetricWeights(1.0, 1.0, 1.0))
-        clamped = scorer.score(np.array([0, 1, 1]))
+        clamped = scorer(np.array([0.0, 1.0, 1.0]))
         for x in (np.array([0, 1, 2]), np.array([-0.5, 1.9, 7.0])):
             assert BatchDraft(scorer, x).fitness == scorer.delta_scorer(x).fitness == scorer(x) == clamped
         with pytest.raises(ValueError, match="does not exist"):
-            scorer.score(np.array([0, 1, 2]))
+            scorer.metrics(np.array([0, 1, 2]))
 
     def test_applies_only_to_batch_instances_that_fit(self):
         assert BatchScorer.applies([Job(0, 0.0, 10), Job(1, 0.0, 20)])
@@ -301,9 +300,9 @@ class TestBatchScorer:
             targets = rng.integers(0, 2, size=3).tolist()
             moved = assignment.copy()
             moved[positions] = targets
-            assert anchor.draft(positions, targets) == scorer.score(moved)
+            assert anchor.draft(positions, targets) == scorer(moved.astype(float))
             reference = scorer.weights.score(ScheduleSimulator(jobs, vms).metrics(moved))
-            assert scorer.score(moved) == pytest.approx(reference, rel=1e-12)
+            assert scorer(moved.astype(float)) == pytest.approx(reference, rel=1e-12)
 
     def test_raising_draft_leaves_the_anchor_as_it_was(self):
         jobs = [Job(i, 0.0, 10 + i) for i in range(4)]
@@ -315,10 +314,10 @@ class TestBatchScorer:
         assert anchor._ranks == [[0, 1], [2, 3]]
         anchor.commit()  # the raising draft left nothing to commit
         assert anchor.fitness == fitness
-        assert anchor.draft([0, 3], [1.5, 0.5]) == scorer.score(np.array([1, 0, 1, 0]))
+        assert anchor.draft([0, 3], [1.5, 0.5]) == scorer(np.array([1.0, 0.0, 1.0, 0.0]))
         anchor.commit()
-        assert anchor.fitness == scorer.score(np.array([1, 0, 1, 0]))
-        assert anchor.draft([1], [1.0]) == scorer.score(np.array([1, 1, 1, 0]))
+        assert anchor.fitness == scorer(np.array([1.0, 0.0, 1.0, 0.0]))
+        assert anchor.draft([1], [1.0]) == scorer(np.array([1.0, 1.0, 1.0, 0.0]))
 
     def test_holds_no_replay_columns_until_a_replay_needs_them(self):
         jobs = [Job(i, 0.0, 10 + 7 * i) for i in range(12)]
@@ -337,7 +336,7 @@ class TestBatchScorer:
         scorer = BatchScorer(*three_jobs_two_vms)
         for bad in (np.array([0, 1, 2]), np.array([0, -1, 0]), np.array([0, 1]), np.array([0.0, 1.0, 0.0])):
             with pytest.raises(ValueError):
-                scorer.score(bad)
+                scorer.metrics(bad)
 
 
 @st.composite
@@ -539,5 +538,5 @@ class TestBruteForce:
     def test_capacity_guard(self):
         jobs = [Job(i, 0.0, 10) for i in range(30)]
         vms = [Vm(0, 1.0), Vm(1, 2.0)]
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(ValueError, match="exceed the enumeration cap"):
             brute_force_optimal(jobs, vms, MAKESPAN_ONLY)

@@ -10,12 +10,12 @@ from lcasched import (
     LcaParams,
     Team,
     play_week,
-    swot_formation,
     swot_update,
-    truncated_geometric,
     win_probability,
 )
-from lcasched.lca import _Doubles, _drafter
+from lcasched.lca import _count_quantile, _Doubles, _drafter
+
+from conftest import swot_formation
 
 # Gaps and shifts are kept well clear of the last few ulps so the 1e-12
 # tolerances below are meaningful rather than vacuous.
@@ -110,40 +110,51 @@ class TestPlayWeek:
 class TestChangeCount:
     def test_quantile_half(self):
         # ceil(ln(1 - 0.5 * 0.9375) / ln(0.5)) = ceil(0.9125...) = 1
-        assert truncated_geometric(0.5, 4, 0.5) == 1
+        assert _count_quantile(4, 0.5)(0.5) == 1
 
     def test_quantile_point_nine(self):
         # ceil(ln(1 - 0.9 * 0.9375) / ln(0.5)) = ceil(2.678...) = 3
-        assert truncated_geometric(0.9, 4, 0.5) == 3
+        assert _count_quantile(4, 0.5)(0.9) == 3
 
     def test_zero_quantile_floor(self):
-        assert truncated_geometric(0.0, 10, 0.3) == 1
+        assert _count_quantile(10, 0.3)(0.0) == 1
 
     def test_near_one_quantile_hits_dimension(self):
-        assert truncated_geometric(np.nextafter(1.0, 0.0), 6, 0.3) == 6
+        assert _count_quantile(6, 0.3)(float(np.nextafter(1.0, 0.0))) == 6
 
-    @pytest.mark.parametrize("dimension,change_prob", [(0, 0.5), (3, 0.0), (3, 1.0), (-1, 0.5)])
-    def test_invalid_parameters(self, dimension, change_prob):
-        with pytest.raises(ValueError):
-            truncated_geometric(0.5, dimension, change_prob)
-
-    def test_invalid_quantile(self):
-        with pytest.raises(ValueError):
-            truncated_geometric(1.0, 3, 0.5)
-        with pytest.raises(ValueError):
-            truncated_geometric(-0.1, 3, 0.5)
+    @pytest.mark.parametrize("dimension", [1, 7, 40, 500])
+    @pytest.mark.parametrize("change_prob", [0.01, 0.05, 0.3, 0.5, 0.9])
+    def test_steps_at_the_analytic_cdf(self, dimension, change_prob):
+        # The count is the least k with F(k) >= r, for the truncated geometric
+        # CDF F(k) = (1 - (1 - p)^k) / (1 - (1 - p)^d): a quantile just below
+        # F(k) gives k, one just above gives k + 1. "Just" is a thousandth of
+        # the step, and steps below 1e-9 are skipped, as floats cannot place a
+        # quantile inside them.
+        count_of = _count_quantile(dimension, change_prob)
+        keep = 1.0 - change_prob
+        cdf = [(1.0 - keep**k) / (1.0 - keep**dimension) for k in range(dimension + 1)]
+        checked = 0
+        for k in range(1, dimension + 1):
+            step = cdf[k] - cdf[k - 1]
+            if step < 1e-9:
+                continue
+            assert count_of(cdf[k] - step / 1000) == k
+            if k < dimension and cdf[k + 1] - cdf[k] >= 1e-9:
+                assert count_of(cdf[k] + (cdf[k + 1] - cdf[k]) / 1000) == k + 1
+            checked += 1
+        assert checked >= min(dimension, 8)
 
     def test_range_and_monotonicity_fuzz(self):
         rng = np.random.default_rng(123)
         for dimension, change_prob in [(1, 0.5), (3, 0.1), (10, 0.3), (500, 0.9)]:
             r = np.sort(rng.random(250_000))
-            q = truncated_geometric(r, dimension, change_prob)
+            q = np.array(list(map(_count_quantile(dimension, change_prob), r.tolist())))
             assert q.min() >= 1 and q.max() <= dimension
             assert np.all(np.diff(q) >= 0)
 
     def test_drawn_counts_stay_in_range(self):
         rng = np.random.default_rng(5)
-        counts = {truncated_geometric(rng.random(), 4, 0.4) for _ in range(2000)}
+        counts = {_count_quantile(4, 0.4)(rng.random()) for _ in range(2000)}
         assert counts <= {1, 2, 3, 4}
         assert 1 in counts
 
@@ -170,7 +181,7 @@ def changed_slots(dimension, change_prob, calls):
     for _ in range(calls):
         mirror.bit_generator.state = rng.bit_generator.state
         new = swot_update(team, opponent, rival_opponent, True, False, params, domain, rng)
-        yield new != 0.0, truncated_geometric(mirror.random(), dimension, change_prob)
+        yield new != 0.0, _count_quantile(dimension, change_prob)(mirror.random())
 
 
 class TestChangedSlots:
@@ -220,7 +231,7 @@ class TestChangedSlots:
         rng = np.random.default_rng(8)
         for count in (1, 2, 50, 199, 200):
             quantile = (1.0 - 0.99 ** (count - 0.5)) / total  # inside count's step of the inverse
-            assert truncated_geometric(quantile, 200, params.change_prob) == count
+            assert _count_quantile(200, params.change_prob)(quantile) == count
             for _ in range(50):
                 mirror = np.random.default_rng()
                 mirror.bit_generator.state = rng.bit_generator.state
@@ -303,7 +314,7 @@ class TestSwotUpdate:
             # recover the mask the update will use.
             rng = np.random.default_rng(1000 + trial)
             mirror = np.random.default_rng(1000 + trial)
-            count = truncated_geometric(mirror.random(), 12, params.change_prob)
+            count = _count_quantile(12, params.change_prob)(mirror.random())
             mask = np.zeros(12, dtype=bool)
             mask[mirror.permutation(12)[:count]] = True
             new = swot_update(
@@ -318,7 +329,7 @@ class TestSwotUpdate:
             )
             # bit-exact carryover outside the mask
             assert np.array_equal(new[~mask], team.best_formation[~mask])
-            assert domain.contains(new)
+            assert np.all((domain.lower <= new) & (new <= domain.upper))
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -346,7 +357,7 @@ class TestSwotUpdate:
                 won, rival_won = bool(trial & 1), bool(trial & 2)
                 rng = np.random.default_rng(5000 + trial)
                 mirror = np.random.default_rng(5000 + trial)
-                count = truncated_geometric(mirror.random(), dimension, params.change_prob)
+                count = _count_quantile(dimension, params.change_prob)(mirror.random())
                 mask = np.zeros(dimension, dtype=bool)
                 mask[draw_slots(mirror, count)] = True
                 gains = mirror.random((2, count))
@@ -386,7 +397,7 @@ class TestSwotUpdate:
     @pytest.mark.parametrize("dimension", [9, 600])  # slots by permutation, and by Floyd's sampling
     def test_drafter_equals_swot_formation_and_clip(self, dimension, won, rival_opponent_won):
         # optimize's draft rebuilds each slot inline; its keys must equal the
-        # public formula clamped by np.clip, bit for bit, with every side read
+        # reference formula clamped by np.clip, bit for bit, with every side read
         # as its row under its overrides
         setup = np.random.default_rng(dimension)
         lower, upper = -setup.uniform(0.5, 2.0, dimension), setup.uniform(1.0, 3.0, dimension)
@@ -407,7 +418,7 @@ class TestSwotUpdate:
             drafted = draft(source, won, rival_opponent_won, best, best, overrides[0], rows[1].tolist(),
                             overrides[1], rows[2].tolist(), overrides[2])
             slots, keys = list(drafted), list(drafted.values())
-            count = truncated_geometric(mirror.random(), dimension, params.change_prob)
+            count = _count_quantile(dimension, params.change_prob)(mirror.random())
             if dimension < 128:
                 assert slots == mirror.permutation(dimension)[:count].tolist()
             else:
@@ -470,8 +481,7 @@ class TestBoxDomain:
     def test_cube(self):
         domain = BoxDomain.cube(3, -1.0, 2.0)
         assert domain.dimension == 3
-        assert domain.contains(np.array([0.0, -1.0, 2.0]))
-        assert not domain.contains(np.array([0.0, -1.1, 0.0]))
+        assert domain.lower.tolist() == [-1.0] * 3 and domain.upper.tolist() == [2.0] * 3
 
     def test_clip(self):
         domain = BoxDomain.cube(2, 0.0, 1.0)

@@ -81,6 +81,20 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             WorkloadSpec(job_count=5, seed=-1)
 
+    @pytest.mark.parametrize(
+        "name,bounds",
+        [
+            ("len_max", dict(len_min=1, len_max=2.5)),
+            ("len_min", dict(len_min=1.0, len_max=3)),
+            ("len_min", dict(len_min=True, len_max=3)),
+            ("len_max", dict(len_min=1, len_max=np.float64(30.0))),
+        ],
+    )
+    def test_length_bounds_must_be_integers(self, name, bounds):
+        # numpy would truncate a float bound, and a bool is no length
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
+            WorkloadSpec(job_count=20, **bounds)
+
     def test_values_are_python_numbers(self):
         jobs = generate_workload(WorkloadSpec(job_count=50, arrival_rate=2.0, seed=8))
         assert all(type(j.arrival_time) is float and type(j.length) is int for j in jobs)
