@@ -15,8 +15,8 @@ scorers over random-key vectors. Both are ``ScheduleSimulator``s that
 decode keys into service order; the batch one scores by exact integer sums.
 ``_ReplayScorer``, for staggered instances, replays the keys, and its
 drafts (``_ReplayDraft``, an ``lca._CopyDraft``) patch a copy of them and
-replay it; its subclass ``BatchScorer`` rescores a few moved jobs without
-a replay (``BatchDraft``).
+replay it unless no job moved; its subclass ``BatchScorer`` rescores a few
+moved jobs without a replay (``BatchDraft``).
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
 an exact reference.
 """
@@ -81,6 +81,12 @@ class ScheduleSimulator:
     which numpy orders lexicographically, so it restarts at every queue head
     without a Python loop. Neither step rounds, so results are bit-identical
     to a per-queue replay with int64 keys.
+
+    A replay gathers each job's arrival and length in one ``take`` of a
+    complex column and writes every step into per-simulator work arrays
+    (``out=``), both built on the first replay. So a simulator is not for
+    concurrent use, and ``run`` returns copies. A staggered draft that moves
+    no job is not replayed (``_ReplayDraft``).
     """
 
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm]):
@@ -95,12 +101,19 @@ class ScheduleSimulator:
         self._vm_key = np.min_scalar_type(self.num_vms - 1)
 
     @functools.cached_property
-    def _arrivals_sorted(self) -> np.ndarray:  # built on a replay's first call; a BatchScorer never replays
-        return self._columns.arrivals[self._service_order]
+    def _service_jobs(self) -> np.ndarray:  # built on a replay's first call; a BatchScorer never replays
+        """Each job in service order as arrival + length·j, set part by part so every bit is kept."""
+        jobs = np.empty(self.num_jobs, dtype=np.complex128)
+        jobs.real = self._columns.arrivals
+        jobs.imag = self._columns.lengths
+        return jobs[self._service_order]
 
     @functools.cached_property
-    def _lengths_sorted(self) -> np.ndarray:
-        return self._columns.lengths[self._service_order].astype(float)
+    def _work(self) -> tuple[np.ndarray, ...]:
+        """The replay's work arrays: grouped VM keys, grouped jobs, queue keys,
+        execution then finish times, start times, and waits."""
+        n, vm_key, complex_ = self.num_jobs, self._vm_key, np.complex128
+        return np.empty(n, vm_key), np.empty(n, complex_), np.empty(n, complex_), np.empty(n), np.empty(n), np.empty(n)
 
     def _replay(self, assignment: np.ndarray):
         """Replay ``assignment`` once it is checked to hold one VM index per job."""
@@ -115,16 +128,24 @@ class ScheduleSimulator:
 
     def _replay_sorted(self, vm_sorted: np.ndarray, weights: MetricWeights | None = None):
         """Replay from each job's VM in service order, as ``_vm_key`` integers
-        already known to lie in [0, num_vms). With ``weights``, a metric of
-        zero weight is left at 0.0, which scores the same."""
-        group = np.argsort(vm_sorted, kind="stable")
-        grouped_vm = vm_sorted[group]
-        exec_times = self._lengths_sorted[group] / self.speeds.take(grouped_vm)
-        totals = np.cumsum(exec_times)
-        before = totals - exec_times
-        arrivals = self._arrivals_sorted[group]
-        starts = np.maximum(before + _segmented_cummax(arrivals - before, grouped_vm), arrivals)
-        finishes = starts + exec_times
+        already known to lie in [0, num_vms), into the work arrays, leaving the
+        grouping in ``_group``; return makespan, average completion and average
+        response. With ``weights``, a metric of zero weight is left at 0.0,
+        which scores the same."""
+        grouped_vm, jobs, keys, finishes, starts, waits = self._work
+        # Every index below is in range, and mode="clip" takes into ``out`` without a buffer.
+        self._group = group = vm_sorted.argsort(kind="stable")
+        vm_sorted.take(group, out=grouped_vm, mode="clip")
+        self._service_jobs.take(group, out=jobs, mode="clip")
+        arrivals = jobs.real
+        exec_times = self.speeds.take(grouped_vm, out=finishes, mode="clip")
+        np.divide(jobs.imag, exec_times, out=exec_times)
+        before = np.add.accumulate(exec_times, out=starts)  # np.cumsum, without its dispatch overhead
+        np.subtract(before, exec_times, out=before)
+        np.subtract(arrivals, before, out=waits)
+        np.add(before, _segmented_cummax(waits, grouped_vm, keys), out=starts)
+        np.maximum(starts, arrivals, out=starts)
+        np.add(starts, exec_times, out=finishes)
         makespan = completion = response = 0.0
         if weights is None or weights.makespan:
             makespan = float(finishes.max()) - self._min_arrival
@@ -132,17 +153,18 @@ class ScheduleSimulator:
         if weights is None or weights.completion:
             completion = float(np.add.reduce(finishes) / self.num_jobs)
         if weights is None or weights.response:
-            response = float(np.add.reduce(starts - arrivals) / self.num_jobs)
-        return group, starts, finishes, ScheduleMetrics(makespan, completion, response)
+            response = float(np.add.reduce(np.subtract(starts, arrivals, out=waits)) / self.num_jobs)
+        return makespan, completion, response
 
     def metrics(self, assignment: np.ndarray) -> ScheduleMetrics:
         """Score one assignment without materializing the timeline."""
-        return self._replay(assignment)[3]
+        return ScheduleMetrics(*self._replay(assignment))
 
     def run(self, assignment: np.ndarray) -> tuple[JobTimeline, ScheduleMetrics]:
         """Replay one assignment, returning the per-job timeline and metrics."""
-        group, starts, finishes, metrics = self._replay(assignment)
-        positions = self._service_order[group]
+        metrics = ScheduleMetrics(*self._replay(assignment))
+        _, _, _, finishes, starts, _ = self._work
+        positions = self._service_order[self._group]
         start_times = np.empty(self.num_jobs, dtype=float)
         finish_times = np.empty(self.num_jobs, dtype=float)
         start_times[positions] = starts
@@ -178,7 +200,10 @@ class _ReplayScorer(ScheduleSimulator):
         return decode_random_key(x.take(self._service_order), self.num_vms).astype(self._vm_key)
 
     def _score(self, vm_sorted: np.ndarray) -> float:
-        return self.weights.score(self._replay_sorted(vm_sorted, self.weights)[3])
+        weights = self.weights
+        makespan, completion, response = self._replay_sorted(vm_sorted, weights)
+        # MetricWeights.score, inlined as in BatchScorer._value
+        return weights.makespan * makespan + weights.completion * completion + weights.response * response
 
     def __call__(self, x: np.ndarray) -> float:
         return self._score(self._vm_keys(x))
@@ -195,20 +220,27 @@ class _ReplayScorer(ScheduleSimulator):
 
 class _ReplayDraft(_CopyDraft):
     """One formation's service-order VM keys; a draft patches the moved jobs'
-    keys in a copy and replays it."""
+    keys in a copy and replays it, unless no job moved."""
 
     def __init__(self, scorer: _ReplayScorer, vm_sorted: np.ndarray):
         self._place, self._top = scorer._columns.place, scorer.num_vms - 1
         super().__init__(scorer._score, vm_sorted)
 
-    def _write(self, vm_sorted: np.ndarray, positions: Sequence[int], keys: Sequence[float]) -> None:
+    def _write(self, vm_sorted: np.ndarray, positions: Sequence[int], keys: Sequence[float]) -> bool:
         """Put job ``positions[i]`` on the VM key ``keys[i]`` decodes to
-        (``decode_random_key``, one key at a time)."""
+        (``decode_random_key``, one key at a time); return whether any job
+        changed VM, as a draft that moves none is not replayed."""
         if not all(map(math.isfinite, keys)) or min(positions, default=0) < 0:
             raise ValueError("keys must be finite and positions nonnegative")
         place, top = self._place, self._top
+        moved = False
         for p, key in zip(positions, keys):
-            vm_sorted[place[p]] = min(max(math.floor(key), 0), top)
+            r, vm = place[p], math.floor(key)
+            vm = 0 if vm < 0 else top if vm > top else vm
+            if vm_sorted.item(r) != vm:
+                vm_sorted[r] = vm
+                moved = True
+        return moved
 
 
 class BatchScorer(_ReplayScorer):
@@ -314,7 +346,8 @@ class BatchDraft:
     deleting and inserting at ``bisect`` indices, so each move is scored
     against the lists as the earlier moves left them; it then undoes them
     in reverse order, also when a move raises, leaving the anchor exactly
-    as it was. ``commit`` re-applies the moves at their recorded indices.
+    as it was. A draft that moves no job returns the anchor's fitness and
+    copies nothing. ``commit`` re-applies the moves at their recorded indices.
     No position may repeat in a draft: a repeated job would be looked up
     on a VM it has already left, corrupting the anchor's lists.
     """
@@ -343,8 +376,7 @@ class BatchDraft:
             raise ValueError("keys must be finite and positions nonnegative")
         rank, length, class_of, top = self._place, self._length, self._class_of, self._top
         vm_by_rank, ranks, lengths = self._vm_by_rank, self._ranks, self._lengths
-        weighted = self._class_weighted.copy()
-        totals = self._class_totals.copy()
+        weighted, totals = self._class_weighted, self._class_totals
         moves = []
         try:
             for p, key in zip(positions, keys):
@@ -353,6 +385,8 @@ class BatchDraft:
                 b = 0 if b < 0 else top if b > top else b
                 if a == b:
                     continue
+                if not moves:  # the first move: edit copies of the anchor's sums
+                    weighted, totals = weighted.copy(), totals.copy()
                 size = length[p]
                 here, sizes = ranks[a], lengths[a]
                 i = bisect_left(here, r)
@@ -368,13 +402,15 @@ class BatchDraft:
                 here.insert(j, r)
                 sizes.insert(j, size)
                 moves.append((a, i, b, j, r, size))
-            vm_totals = self._totals
-            if self._makespan:
-                vm_totals = vm_totals.copy()
-                for a, _, b, _, _, size in moves:
-                    vm_totals[a] -= size
-                    vm_totals[b] += size
-            value = self._value(weighted, totals, vm_totals)
+            value = self.fitness
+            if moves:
+                vm_totals = self._totals
+                if self._makespan:
+                    vm_totals = vm_totals.copy()
+                    for a, _, b, _, _, size in moves:
+                        vm_totals[a] -= size
+                        vm_totals[b] += size
+                value = self._value(weighted, totals, vm_totals)
         finally:
             for a, i, b, j, r, size in reversed(moves):
                 del ranks[b][j], lengths[b][j]
@@ -398,17 +434,17 @@ class BatchDraft:
         self._pending = ((), weighted, totals, value)
 
 
-def _segmented_cummax(values: np.ndarray, queue: np.ndarray) -> np.ndarray:
-    """Running maximum restarted wherever the nondecreasing ``queue`` grows.
+def _segmented_cummax(values: np.ndarray, queue: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Running maximum restarted wherever the nondecreasing ``queue`` grows,
+    built in the complex work array ``keys`` and returned as a view of it.
 
     Keys pair the queue number (real part) with the value (imaginary part);
     the lexicographic running maximum of the keys never carries a value
     across a queue head.
     """
-    keys = np.empty(values.size, dtype=np.complex128)
     keys.real = queue
     keys.imag = values
-    return np.maximum.accumulate(keys).imag
+    return np.maximum.accumulate(keys, out=keys).imag
 
 
 def evaluate(

@@ -324,20 +324,25 @@ class OptimizeResult:
 class _CopyDraft:
     """Draft scorer over a plain objective, anchored at formation ``x`` (protocol
     in ``optimize``): a draft writes the keys into a copy of the anchor and scores
-    it, and a commit keeps that copy. A subclass patches by overriding ``_write``."""
+    it, and a commit keeps that copy. A subclass patches by overriding ``_write``,
+    which returns False when the copy scores as the anchor does; such a draft
+    returns the anchor's fitness without calling the objective."""
 
     def __init__(self, objective: Objective, x: np.ndarray):
         self._objective, self._anchor = objective, x
         self.fitness = objective(x)
         self._pending = (x, self.fitness)
 
-    def _write(self, copy: np.ndarray, slots: list[int], keys: list[float]) -> None:
+    def _write(self, copy: np.ndarray, slots: list[int], keys: list[float]) -> bool:
         copy[slots] = keys
+        return True
 
     def draft(self, slots: list[int], keys: list[float]) -> float:
         copy = self._anchor.copy()
-        self._write(copy, slots, keys)
-        self._pending = (copy, self._objective(copy))
+        if self._write(copy, slots, keys):
+            self._pending = (copy, self._objective(copy))
+        else:
+            self._pending = (self._anchor, self.fitness)
         return self._pending[1]
 
     def commit(self) -> None:

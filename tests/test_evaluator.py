@@ -107,6 +107,26 @@ class TestEvaluate:
             assert metrics.avg_response >= 0.0
             assert np.all(timeline.start_times >= [j.arrival_time for j in jobs])
 
+    @pytest.mark.parametrize("staggered", [False, True])
+    def test_timelines_outlive_later_replays(self, staggered):
+        # a replay writes into the simulator's work arrays, so what run hands out must be copies
+        jobs = [Job(i, 1.5 * i if staggered else 0.0, 10 + 7 * i % 13) for i in range(12)]
+        vms = [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)]
+        simulator = ScheduleSimulator(jobs, vms)
+        first = np.arange(12) % 3
+        timeline, metrics = simulator.run(first)
+        evaluated, _ = evaluate(jobs, vms, first)
+        held = [np.copy(a) for a in (timeline.start_times, timeline.finish_times, timeline.vm_ids)]
+        for shift in (1, 2):
+            later = (first + shift) % 3
+            simulator.run(later)
+            simulator.metrics(later)
+        for array, copy in zip((timeline.start_times, timeline.finish_times, timeline.vm_ids), held):
+            assert np.array_equal(array, copy)
+        assert np.array_equal(evaluated.start_times, held[0])
+        assert np.array_equal(evaluated.finish_times, held[1])
+        assert simulator.metrics(first) == metrics
+
 
 @st.composite
 def replay_cases(draw, staggered):
@@ -327,10 +347,10 @@ class TestBatchScorer:
         anchor.draft([0, 5], [0.5, 2.5])
         anchor.commit()
         scorer(np.linspace(0.0, 3.0, 12))
-        assert not {"_arrivals_sorted", "_lengths_sorted"} & set(vars(scorer))
+        assert not {"_service_jobs", "_work"} & set(vars(scorer))
         assignment = np.arange(12) % 3
         assert scorer.metrics(assignment) == ScheduleSimulator(jobs, vms).metrics(assignment)
-        assert {"_arrivals_sorted", "_lengths_sorted"} <= set(vars(scorer))
+        assert {"_service_jobs", "_work"} <= set(vars(scorer))
 
     def test_bad_assignment_rejected(self, three_jobs_two_vms):
         scorer = BatchScorer(*three_jobs_two_vms)
@@ -456,6 +476,50 @@ class TestReplayScorer:
         assert anchor.draft([3], [0.5]) == scorer(np.array([0.0, 0.0, 1.0, 0.5]))
 
 
+class TestDraftsThatMoveNoJob:
+    """A draft whose every key decodes to its job's current VM returns the
+    anchor's fitness without scoring anything."""
+
+    def test_batch_draft_scores_nothing(self):
+        jobs = [Job(i, 0.0, 10 + 7 * i) for i in range(8)]
+        scorer = BatchScorer(jobs, [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)], MetricWeights(1.0, 1.0, 1.0))
+        x = np.array([0.5, 1.5, 2.5, 0.0, 1.0, 2.0, 0.9, 3.0])
+        anchor = scorer.delta_scorer(x)
+
+        def no_value(*sums):
+            raise AssertionError("a draft that moves no job was scored")
+
+        anchor._value = no_value
+        # other keys on the same VMs, and keys past either end that clamp to them
+        assert anchor.draft([0, 2, 7, 3], [0.2, 2.9, 5.0, -4.0]) == anchor.fitness
+        anchor.commit()
+        assert anchor.fitness == scorer(x)
+        anchor._value = scorer._value
+        moved = x.copy()
+        moved[[0, 3]] = [0.2, 2.5]
+        assert anchor.draft([0, 3], [0.2, 2.5]) == scorer(moved)
+
+    def test_staggered_draft_is_not_replayed(self):
+        jobs = [Job(i, 1.5 * i, 10 + 7 * i) for i in range(8)]
+        scorer = _ReplayScorer(jobs, [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)], MetricWeights(1.0, 1.0, 1.0))
+        x = np.array([0.5, 1.5, 2.5, 0.0, 1.0, 2.0, 0.9, 3.0])
+        anchor = scorer.delta_scorer(x)
+        replay = anchor._objective
+
+        def no_replay(vm_sorted):
+            raise AssertionError("a draft that moves no job was replayed")
+
+        anchor._objective = no_replay
+        # other keys on the same VMs, and keys past either end that clamp to them
+        assert anchor.draft([0, 2, 7, 3], [0.2, 2.9, 5.0, -4.0]) == anchor.fitness
+        anchor.commit()
+        assert anchor.fitness == scorer(x)
+        anchor._objective = replay
+        moved = x.copy()
+        moved[[0, 3]] = [0.2, 2.5]
+        assert anchor.draft([0, 3], [0.2, 2.5]) == scorer(moved)
+
+
 def segmented_cummax_reference(values, first):
     """The per-queue loop the vectorized running maximum replaced."""
     out = np.empty_like(values)
@@ -486,7 +550,39 @@ class TestSegmentedCummax:
     @given(segmented_values())
     def test_equals_per_queue_loop(self, case):
         values, first, queue = case
-        assert np.array_equal(_segmented_cummax(values, queue), segmented_cummax_reference(values, first))
+        assert np.array_equal(
+            _segmented_cummax(values, queue, np.empty(values.size, dtype=np.complex128)),
+            segmented_cummax_reference(values, first),
+        )
+
+
+class TestNumpyFloor:
+    """Tiny pins of the numpy behaviour the replay relies on, so that an older
+    numpy (pyproject.toml allows 1.24) fails here with a precise message."""
+
+    def test_ufunc_out_into_complex_views(self):
+        column = np.empty(3, dtype=np.complex128)
+        column.real = [2.0, -0.0, 5.0]
+        column.imag = np.array([7, 1, 3], dtype=np.int64)
+        jobs = np.empty(3, dtype=np.complex128)
+        column.take(np.array([2, 0, 1]), out=jobs, mode="clip")
+        times = np.empty(3)
+        np.divide(jobs.imag, [2.0, 1.0, 4.0], out=times)
+        np.subtract(jobs.real, times, out=jobs.imag)
+        assert jobs.real.tolist() == [5.0, 2.0, -0.0] and np.signbit(jobs.real[2]), (
+            "numpy must take a complex column into a complex out= array and keep -0.0"
+        )
+        assert jobs.imag.tolist() == [3.5, -5.0, -0.25] and times.tolist() == [1.5, 7.0, 0.25], (
+            "numpy ufuncs must read from and write into the .real and .imag views of a complex array"
+        )
+
+    def test_in_place_complex_running_maximum(self):
+        keys = np.array([0 + 3j, 0 + 1j, 0 + 5j, 2 - 1j, 2 + 0j, 7 - 4j])
+        result = np.maximum.accumulate(keys, out=keys)
+        assert result is keys and keys.tolist() == [3j, 3j, 5j, 2 - 1j, 2 + 0j, 7 - 4j], (
+            "numpy's np.maximum.accumulate must run in place (out=) on a complex array "
+            "and order complex numbers lexicographically"
+        )
 
 
 def check_conservation_and_non_overlap(jobs, vms, assignment, timeline):
