@@ -1,16 +1,21 @@
 """Benchmark harness: one result row per (algorithm, VM count, seed).
 
-A cell rebuilds its workload and fleet from the cell seed (three
+A cell derives its workload and fleet from the cell seed (three
 sub-streams split off with ``numpy.random.SeedSequence``: workload, fleet,
 optimizer), so every algorithm sees identical inputs for the same seed and
 the whole sweep is reproducible. A process keeps the jobs of the last
 source a cell asked for, a jobs file's path or a generated workload's
 spec, as one table of job columns (``problem._JobTable``), until a cell
-asks for another one. A sweep runs its cells seed-major (seed, then
+asks for another one. It likewise keeps the last seed's three sub-seeds,
+and up to ``_FLEET_CACHE_SIZE`` (64) fleets, each a tuple of ``Vm`` built
+once per ``FleetSpec``. A sweep runs its cells seed-major (seed, then
 algorithm, then VM count), so each seed's jobs are drawn straight into
-columns once per process, building no ``Job``, and only the seed's first
-cell counts the draw in its ``wall_ms``. A sweep over a jobs file reads it
-afresh once, before any cell, and forked workers inherit its table. Rows
+columns once per process, building no ``Job``, and the FCFS and LJF cells
+reuse the fleets the seed's LCA cells built. The ``wall_ms`` of a seed's
+first cell counts the workload draw, and that of a (seed, VM count)'s
+first cell the fleet; other cells pay for neither. A grid of more than 64
+VM counts only loses fleet reuse. A sweep over a jobs file reads it afresh
+once, before any cell, and forked workers inherit its table. Rows
 are always written sorted by (algorithm, num_vms, seed) no matter how
 cells were executed, and all floats are serialized with full round-trip
 precision, so the results CSV is byte-identical across runs and worker
@@ -32,8 +37,8 @@ import numpy as np
 
 from .baselines import LJF_MODES, fcfs_schedule, ljf_schedule
 from .evaluator import ScheduleSimulator
-from .lca import LcaParams, optimize
-from .problem import MetricWeights, _job_columns, _JobTable, assignment_domain, decode_random_key, make_objective
+from .lca import LcaParams, _check_integer, optimize
+from .problem import MetricWeights, Vm, _job_columns, _JobTable, assignment_domain, decode_random_key, make_objective
 from .workload import (
     DEFAULT_LEN_MAX,
     DEFAULT_LEN_MIN,
@@ -89,6 +94,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("num_jobs", "reps", "base_seed", "workers"):
+            _check_integer(name, getattr(self, name))
+        for count in self.vm_counts:
+            _check_integer("vm_counts entry", count)
         if not self.vm_counts or any(m < 1 for m in self.vm_counts):
             raise ValueError("vm_counts must be non-empty with every count >= 1")
         if self.reps < 1:
@@ -111,6 +120,7 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.vm_speeds or not all(0.0 < s < math.inf for s in self.vm_speeds):
             raise ValueError(f"vm_speeds must be non-empty, finite and positive, got {self.vm_speeds!r}")
+        object.__setattr__(self, "vm_speeds", tuple(map(float, self.vm_speeds)))  # hashable, so fleets cache by spec
 
 
 @dataclass(frozen=True)
@@ -166,10 +176,24 @@ def _jobs(source: str | WorkloadSpec) -> _JobTable:
     return _job_columns(read_jobs_csv(source))
 
 
+# Fleets kept per process: one seed's whole grid of VM counts. A grid with more
+# counts than this only loses reuse, since a fleet is a pure function of its spec.
+_FLEET_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=1)
+def _sub_seeds(seed: int) -> tuple[int, int, int]:
+    """The workload, fleet and optimizer seeds split off a cell seed; kept until another seed is asked for."""
+    return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64))
+
+
+@functools.lru_cache(maxsize=_FLEET_CACHE_SIZE)
+def _fleet(spec: FleetSpec) -> tuple[Vm, ...]:
+    return tuple(generate_fleet(spec))
+
+
 def _cell_inputs(config: ExperimentConfig, num_vms: int, seed: int):
-    workload_seed, fleet_seed, optimizer_seed = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64)
-    )
+    workload_seed, fleet_seed, optimizer_seed = _sub_seeds(seed)
     jobs = _jobs(
         config.jobs_file
         if config.jobs_file is not None
@@ -181,7 +205,7 @@ def _cell_inputs(config: ExperimentConfig, num_vms: int, seed: int):
             seed=workload_seed,
         )
     )
-    vms = generate_fleet(
+    vms = _fleet(
         FleetSpec(
             vm_count=num_vms,
             speed_choices=config.vm_speeds,
@@ -198,6 +222,10 @@ def run_cell(config: ExperimentConfig, algorithm: str, num_vms: int, seed: int) 
     Deterministic per (config, seed) apart from ``wall_ms``, which
     ``config.no_timing`` pins to zero. Jobs come from the process's one
     cached job table, so a jobs file rewritten mid-sweep is not reread.
+    The seed's sub-seeds and the fleet come from caches too (the last
+    seed, and up to 64 fleets by spec), so ``wall_ms`` includes the
+    workload draw only for a seed's first cell in the process, and the
+    fleet build only for the first cell of its (seed, VM count).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")

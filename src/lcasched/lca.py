@@ -13,6 +13,7 @@ All randomness flows through a single numpy PCG64 generator seeded from
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,6 +35,17 @@ __all__ = [
 
 Objective = Callable[[np.ndarray], float]
 """Cost function over formation vectors; must be deterministic, lower is better."""
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; not a bool, nor a float of integral value."""
+    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise ``ValueError`` naming the field ``name`` unless ``value`` is an integer."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +100,10 @@ class LcaParams:
     max_evaluations: int | None = None
 
     def __post_init__(self):
+        for name in ("league_size", "seasons", "seed"):
+            _check_integer(name, getattr(self, name))
+        if self.max_evaluations is not None:
+            _check_integer("max_evaluations", self.max_evaluations)
         if self.league_size < 4 or self.league_size % 2:
             raise ValueError("league_size must be an even integer >= 4")
         if self.seasons < 1:

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .lca import BoxDomain, Objective
+from .lca import BoxDomain, Objective, _is_integer
 
 __all__ = [
     "Job",
@@ -25,11 +25,6 @@ __all__ = [
     "assignment_domain",
     "make_objective",
 ]
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; not a bool, nor a float of integral value."""
-    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
 
 
 def _is_real(value) -> bool:

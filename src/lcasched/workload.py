@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .problem import Job, Vm, _is_integer, _JobTable
+from .lca import _check_integer
+from .problem import Job, Vm, _JobTable
 
 __all__ = [
     "CsvFormatError",
@@ -64,6 +65,8 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integer("job_count", self.job_count)
+        _check_integer("seed", self.seed)
         if self.job_count < 1:
             raise ValueError("job_count must be positive")
         _check_length_bounds(self.len_min, self.len_max)
@@ -75,9 +78,8 @@ class WorkloadSpec:
 
 def _check_length_bounds(len_min, len_max) -> None:
     """Reject job length bounds unless both are integers with 0 < len_min <= len_max."""
-    for name, value in (("len_min", len_min), ("len_max", len_max)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_integer("len_min", len_min)
+    _check_integer("len_max", len_max)
     if not 0 < len_min <= len_max:
         raise ValueError("need 0 < len_min <= len_max")
 
@@ -92,6 +94,8 @@ class FleetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integer("vm_count", self.vm_count)
+        _check_integer("seed", self.seed)
         if self.vm_count < 1:
             raise ValueError("vm_count must be positive")
         if not self.speed_choices or not all(0.0 < s < math.inf for s in self.speed_choices):

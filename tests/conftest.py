@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lcasched.bench
 from lcasched import Job, Vm
 
 
@@ -98,4 +99,21 @@ def jobs_built(monkeypatch):
         post_init(job)
 
     monkeypatch.setattr(Job, "__post_init__", counting)
+    return built
+
+
+@pytest.fixture
+def vms_built(monkeypatch):
+    """A list that gains the id of every ``Vm`` built from now on, with the
+    sweep harness's fleet and sub-seed caches cleared first."""
+    lcasched.bench._fleet.cache_clear()
+    lcasched.bench._sub_seeds.cache_clear()
+    built = []
+    post_init = Vm.__post_init__
+
+    def counting(vm):
+        built.append(vm.id)
+        post_init(vm)
+
+    monkeypatch.setattr(Vm, "__post_init__", counting)
     return built

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import lcasched.bench
 import lcasched.workload
 from lcasched import (
     ExperimentConfig,
+    FleetSpec,
     Job,
     LcaParams,
     MetricWeights,
@@ -103,6 +105,11 @@ class TestRunCell:
             lcasched.bench._jobs.cache_clear()  # the cell draws its workload afresh
             run_cell(config, algorithm, 3, seed=4)
         assert jobs_built == []
+
+    def test_cell_fleet_is_a_tuple(self):
+        _, vms, _ = lcasched.bench._cell_inputs(tiny_config(), 3, seed=1)
+        assert type(vms) is tuple
+        assert [vm.id for vm in vms] == [0, 1, 2]
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -235,6 +242,35 @@ class TestRunSweep:
         fcfs = {(r.num_vms, r.avg_completion) for r in rows if r.algorithm == "fcfs"}
         assert len(fcfs) == len(config.vm_counts) * config.reps
 
+    def test_sweep_builds_each_fleet_once(self, tmp_path, vms_built):
+        run_sweep(tiny_config(out=str(tmp_path / "r.csv")))
+        # (2 + 3) VMs for each of 2 seeds; the FCFS and LJF cells reuse the LCA cell's fleet
+        assert len(vms_built) == 10
+
+    @pytest.mark.parametrize("arrival_rate", [None, 3.0])
+    def test_rows_do_not_depend_on_the_caches(self, tmp_path, monkeypatch, arrival_rate):
+        config = tiny_config(arrival_rate=arrival_rate, out=str(tmp_path / "warm.csv"))
+        warm, _ = run_sweep(config)
+        warm_cell = lcasched.bench.run_cell
+
+        def cold_cell(*args):
+            for cache in (lcasched.bench._jobs, lcasched.bench._fleet, lcasched.bench._sub_seeds):
+                cache.cache_clear()
+            return warm_cell(*args)
+
+        monkeypatch.setattr(lcasched.bench, "run_cell", cold_cell)
+        cold, _ = run_sweep(tiny_config(arrival_rate=arrival_rate, out=str(tmp_path / "cold.csv")))
+        assert cold == warm
+        assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+    def test_vm_speeds_list_sweeps_as_the_tuple(self, tmp_path):
+        speeds = [700.0, 1300, 2100.0]
+        config = tiny_config(vm_speeds=speeds, out=str(tmp_path / "list.csv"))
+        assert config.vm_speeds == (700.0, 1300.0, 2100.0)
+        assert all(type(s) is float for s in config.vm_speeds)
+        as_list = run_sweep(config)
+        assert as_list == run_sweep(tiny_config(vm_speeds=tuple(speeds), out=str(tmp_path / "tuple.csv")))
+
     def test_summarize_groups_sorted(self):
         config = tiny_config(out="unused.csv")
         rows = [run_cell(config, alg, m, s) for alg in ("ljf", "fcfs") for m in (3, 2) for s in (1,)]
@@ -279,6 +315,42 @@ class TestConfigValidation:
     def test_length_bounds_must_be_integers(self, name, bounds):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
             ExperimentConfig(**bounds)
+
+
+COUNT_FIELDS = [
+    (LcaParams, "league_size"),
+    (LcaParams, "seasons"),
+    (LcaParams, "seed"),
+    (LcaParams, "max_evaluations"),
+    (WorkloadSpec, "job_count"),
+    (WorkloadSpec, "seed"),
+    (FleetSpec, "vm_count"),
+    (FleetSpec, "seed"),
+    (ExperimentConfig, "num_jobs"),
+    (ExperimentConfig, "reps"),
+    (ExperimentConfig, "base_seed"),
+    (ExperimentConfig, "workers"),
+    (ExperimentConfig, "vm_counts"),
+]
+REQUIRED_FIELDS = {WorkloadSpec: dict(job_count=4), FleetSpec: dict(vm_count=2)}
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("cls,field", COUNT_FIELDS, ids=lambda x: getattr(x, "__name__", x))
+def test_count_fields_reject_floats_and_bools_naming_the_field(cls, field, value):
+    kwargs = dict(REQUIRED_FIELDS.get(cls, {}))
+    kwargs[field] = (value,) if field == "vm_counts" else value
+    with pytest.raises(ValueError, match=rf"^{field}( entry)? must be an integer, got {re.escape(repr(value))}$"):
+        cls(**kwargs)
+
+
+def test_count_fields_take_numpy_integers():
+    assert LcaParams(league_size=np.int64(4), seasons=np.int32(2), seed=np.int64(3), max_evaluations=np.int64(8))
+    assert WorkloadSpec(job_count=np.int64(4), seed=np.int64(1))
+    assert FleetSpec(vm_count=np.int64(2), seed=np.int64(1))
+    assert ExperimentConfig(
+        num_jobs=np.int64(4), reps=np.int64(1), base_seed=np.int64(0), workers=np.int64(1), vm_counts=(np.int64(2),)
+    )
 
 
 class TestCli:
