@@ -9,9 +9,10 @@ scan of all m queues, and tuple order sends ties to the lowest VM id.
 The returned assignment is aligned with the input job list; service order
 within a VM is decided by the evaluator, not by dispatch order.
 
-The job columns and the (arrival, id) order FCFS dispatches in come from
-``problem._job_columns``, shared with the evaluator, which reads a job
-table's columns as they are.
+The job columns and both dispatch orders come from ``problem._job_columns``,
+shared with the evaluator, which reads a job table as it is. A table sorts
+each order once, on first use, and keeps it as a tuple, so the cells of one
+table do not sort again.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ def _dispatch(jobs, vms, column: str | None) -> np.ndarray:
     if not jobs or not vms:
         raise ValueError("jobs and vms must be non-empty")
     columns = _job_columns(jobs)
-    order = columns.service_order if column is None else np.lexsort((columns.ids, -getattr(columns, column)))
+    order = columns.dispatch_order(column)  # sorted once per table and kept
     arrivals, lengths, replace = columns.arrival_list, columns.length_list, heapq.heapreplace
     speeds = [vm.speed for vm in vms]
     heap = [(0.0, vm) for vm in range(len(vms))]  # sorted, hence a valid heap
     assignment = [0] * len(jobs)
-    for position in order.tolist():
+    for position in order:
         ready, vm = heap[0]
         arrival = arrivals[position]
         replace(heap, ((arrival if arrival > ready else ready) + lengths[position] / speeds[vm], vm))

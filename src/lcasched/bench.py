@@ -6,14 +6,19 @@ optimizer), so every algorithm sees identical inputs for the same seed and
 the whole sweep is reproducible. A process keeps the jobs of the last
 source a cell asked for, a jobs file's path or a generated workload's
 spec, as one table of job columns (``problem._JobTable``), until a cell
-asks for another one. It likewise keeps the last seed's three sub-seeds,
+asks for another one (the ``lru_cache(maxsize=1)`` of ``_jobs``). What
+depends on the jobs alone lives as long as that entry: the table builds
+its replay column and each dispatch order on first use and keeps them
+read-only, so the cells of one table share them, and each LJF mode sorts
+once per table. It likewise keeps the last seed's three sub-seeds,
 and up to ``_FLEET_CACHE_SIZE`` (64) fleets, each a tuple of ``Vm`` built
 once per ``FleetSpec``. A sweep runs its cells seed-major (seed, then
 algorithm, then VM count), so each seed's jobs are drawn straight into
 columns once per process, building no ``Job``, and the FCFS and LJF cells
 reuse the fleets the seed's LCA cells built. The ``wall_ms`` of a seed's
 first cell counts the workload draw, and that of a (seed, VM count)'s
-first cell the fleet; other cells pay for neither. A grid of more than 64
+first cell the fleet, and a table's first FCFS or LJF cell sorts its
+order; other cells pay for none of them. A grid of more than 64
 VM counts only loses fleet reuse. A sweep over a jobs file reads it afresh
 once, before any cell, and forked workers inherit its table. Rows
 are always written sorted by (algorithm, num_vms, seed) no matter how
@@ -25,7 +30,6 @@ counts once ``no_timing`` zeroes the wall-clock column.
 from __future__ import annotations
 
 import functools
-import math
 import statistics
 import tempfile
 import time
@@ -46,6 +50,7 @@ from .workload import (
     FleetSpec,
     WorkloadSpec,
     _check_length_bounds,
+    _check_speeds,
     _drawn_jobs,
     generate_fleet,
     read_jobs_csv,
@@ -118,8 +123,7 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        if not self.vm_speeds or not all(0.0 < s < math.inf for s in self.vm_speeds):
-            raise ValueError(f"vm_speeds must be non-empty, finite and positive, got {self.vm_speeds!r}")
+        _check_speeds("vm_speeds", self.vm_speeds)
         object.__setattr__(self, "vm_speeds", tuple(map(float, self.vm_speeds)))  # hashable, so fleets cache by spec
 
 

@@ -153,6 +153,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.num_vms < 1:  # checked here, as the config would name its own field, vm_counts
+        raise ValueError(f"--num-vms must be >= 1, got {args.num_vms}")
     config = _experiment_config(args, vm_counts=(args.num_vms,), no_timing=args.no_timing)
     row = run_cell(config, args.algorithm, args.num_vms, args.seed)
     if args.out:

@@ -8,9 +8,9 @@ is the mean wait between arrival and service start.
 
 ``ScheduleSimulator`` unpacks an instance into arrays once so that many
 assignments can be scored cheaply; the job arrays, the (arrival, id)
-service order and its inverse come from ``problem._job_columns``, shared
-with the scorers and the baselines, which reads a job table's columns as
-they are. ``make_objective`` returns one of two
+service order, its inverse and the replay's service-order column come
+from ``problem._job_columns``, shared with the scorers and the baselines,
+which reads a job table as it is. ``make_objective`` returns one of two
 scorers over random-key vectors. Both are ``ScheduleSimulator``s that
 decode keys into service order; the batch one scores by exact integer sums.
 ``_ReplayScorer``, for staggered instances, replays the keys, and its
@@ -82,11 +82,13 @@ class ScheduleSimulator:
     without a Python loop. Neither step rounds, so results are bit-identical
     to a per-queue replay with int64 keys.
 
-    A replay gathers each job's arrival and length in one ``take`` of a
-    complex column and writes every step into per-simulator work arrays
-    (``out=``), both built on the first replay. So a simulator is not for
-    concurrent use, and ``run`` returns copies. A staggered draft that moves
-    no job is not replayed (``_ReplayDraft``).
+    A replay gathers each job's arrival and length in one ``take`` of the
+    job table's read-only complex column (``_JobTable.service_jobs``, built
+    on the first replay of any simulator on that table) and writes every
+    step into per-simulator work arrays (``out=``), built on the first
+    replay. So a simulator is not for concurrent use, and ``run`` returns
+    copies. A staggered draft that moves no job is not replayed
+    (``_ReplayDraft``).
     """
 
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm]):
@@ -99,14 +101,6 @@ class ScheduleSimulator:
         self.speeds = np.array([v.speed for v in vms], dtype=float)
         self._min_arrival = float(columns.arrivals.min())
         self._vm_key = np.min_scalar_type(self.num_vms - 1)
-
-    @functools.cached_property
-    def _service_jobs(self) -> np.ndarray:  # built on a replay's first call; a BatchScorer never replays
-        """Each job in service order as arrival + length·j, set part by part so every bit is kept."""
-        jobs = np.empty(self.num_jobs, dtype=np.complex128)
-        jobs.real = self._columns.arrivals
-        jobs.imag = self._columns.lengths
-        return jobs[self._service_order]
 
     @functools.cached_property
     def _work(self) -> tuple[np.ndarray, ...]:
@@ -136,7 +130,7 @@ class ScheduleSimulator:
         # Every index below is in range, and mode="clip" takes into ``out`` without a buffer.
         self._group = group = vm_sorted.argsort(kind="stable")
         vm_sorted.take(group, out=grouped_vm, mode="clip")
-        self._service_jobs.take(group, out=jobs, mode="clip")
+        self._columns.service_jobs.take(group, out=jobs, mode="clip")
         arrivals = jobs.real
         exec_times = self.speeds.take(grouped_vm, out=finishes, mode="clip")
         np.divide(jobs.imag, exec_times, out=exec_times)

@@ -8,6 +8,7 @@ the VM index for the job at position ``d``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -60,7 +61,10 @@ class Job:
 class _JobTable(Sequence):
     """Jobs as columns, which every layer reads; a ``Job`` is built only when one is read. Float ``arrivals``
     and int64 ``lengths`` are checked as ``Job`` checks them (int64 ``ids`` come from checked jobs or a range)
-    and kept read-only, beside the dispatch loop's lists and ``place``, the inverse of ``service_order``."""
+    and kept read-only, beside the dispatch loop's lists and ``place``, the inverse of ``service_order``.
+
+    What depends on the jobs alone is built on first use and kept, read-only, as long as the table:
+    the replay's ``service_jobs`` column and each ``dispatch_order``."""
 
     def __init__(self, ids: np.ndarray, arrivals: np.ndarray, lengths: np.ndarray):
         bad = arrivals[~((0.0 <= arrivals) & (arrivals < math.inf))]  # NaN fails both comparisons
@@ -73,6 +77,39 @@ class _JobTable(Sequence):
             array.flags.writeable = False
         self.ids, self.arrivals, self.lengths = ids, arrivals, lengths
         self.arrival_list, self.length_list, self.place = arrivals.tolist(), lengths.tolist(), order.argsort().tolist()
+        self._orders = {}
+
+    @functools.cached_property
+    def service_jobs(self) -> np.ndarray:  # built on a replay's first call; a BatchScorer never replays
+        """Each job in service order as arrival + length·j, set part by part so every bit is kept."""
+        jobs = np.empty(len(self), dtype=np.complex128)
+        jobs.real = self.arrivals
+        jobs.imag = self.lengths
+        jobs = jobs[self.service_order]
+        jobs.flags.writeable = False
+        return jobs
+
+    def dispatch_order(self, column: str | None) -> tuple[int, ...]:
+        """Positions in (arrival, id) order for ``None``, else by decreasing ``column`` ("lengths" or
+        "arrivals"), ties by id and then by position: ``np.lexsort((ids, -column))``."""
+        order = self._orders.get(column)
+        if order is None:
+            order = self.service_order if column is None else self._descending(column)
+            order = self._orders[column] = tuple(order.tolist())
+        return order
+
+    def _descending(self, column: str) -> np.ndarray:
+        """One stable argsort of the id-sorted positions by a key that rises as ``column`` falls. For
+        lengths it is ``max - length`` in the narrowest unsigned dtype, which numpy radix-sorts up to
+        16 bits (uint16 for lengths of 1000-20000 MI)."""
+        by_id = self.ids.argsort(kind="stable")
+        values = getattr(self, column)[by_id]
+        if column == "lengths":
+            top = int(values.max())
+            key = (top - values).astype(np.min_scalar_type(top - int(values.min())))
+        else:
+            key = -values
+        return by_id[key.argsort(kind="stable")]
 
     def __len__(self) -> int:
         return len(self.length_list)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .lca import _check_integer
-from .problem import Job, Vm, _JobTable
+from .problem import Job, Vm, _is_real, _JobTable
 
 __all__ = [
     "CsvFormatError",
@@ -84,6 +84,12 @@ def _check_length_bounds(len_min, len_max) -> None:
         raise ValueError("need 0 < len_min <= len_max")
 
 
+def _check_speeds(name: str, speeds) -> None:
+    """Reject speed choices unless there are some and each is a finite positive real, not a bool, as ``Vm`` checks."""
+    if not speeds or not all(_is_real(s) and 0.0 < s < math.inf for s in speeds):
+        raise ValueError(f"{name} must be non-empty, finite and positive (real, not bool), got {speeds!r}")
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """Recipe for a VM fleet; speeds are cycled or sampled from the choices."""
@@ -98,8 +104,7 @@ class FleetSpec:
         _check_integer("seed", self.seed)
         if self.vm_count < 1:
             raise ValueError("vm_count must be positive")
-        if not self.speed_choices or not all(0.0 < s < math.inf for s in self.speed_choices):
-            raise ValueError(f"speed_choices must be non-empty, finite and positive, got {self.speed_choices!r}")
+        _check_speeds("speed_choices", self.speed_choices)
         if self.mode not in ("cycle", "sample"):
             raise ValueError(f"unknown fleet mode: {self.mode!r}")
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lcasched import (
     Vm,
     WorkloadSpec,
     brute_force_optimal,
+    generate_fleet,
     generate_workload,
     read_jobs_csv,
     run_cell,
@@ -33,6 +35,7 @@ from lcasched.bench import (
     write_summary_csv,
 )
 from lcasched.cli import main
+from lcasched.problem import _JobTable
 
 TINY_LCA = LcaParams(league_size=4, seasons=5, change_prob=0.4, seed=0, max_evaluations=60)
 
@@ -263,6 +266,34 @@ class TestRunSweep:
         assert cold == warm
         assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "overrides,column",
+        [(dict(), "lengths"), (dict(arrival_rate=3.0, ljf_mode="last-arrival"), "arrivals")],
+        ids=["longest", "last-arrival"],
+    )
+    @pytest.mark.parametrize("from_file", [False, True], ids=["generated", "jobs_file"])
+    def test_ljf_cells_sort_once_per_table_and_column(self, tmp_path, monkeypatch, overrides, column, from_file):
+        sorts = []
+        descending = _JobTable._descending
+
+        def counting(table, name):
+            sorts.append((table, name))
+            return descending(table, name)
+
+        monkeypatch.setattr(_JobTable, "_descending", counting)
+        lcasched.bench._jobs.cache_clear()  # no table of an earlier test keeps its orders
+        config = tiny_config(algorithms=("fcfs", "ljf"), vm_counts=(2, 3, 5), out=str(tmp_path / "r.csv"), **overrides)
+        if from_file:
+            write_jobs_csv(generate_workload(WorkloadSpec(job_count=24, arrival_rate=overrides.get("arrival_rate"))),
+                           tmp_path / "jobs.csv")
+            config = replace(config, jobs_file=str(tmp_path / "jobs.csv"))
+        rows, _ = run_sweep(config)
+        # a generated workload is one table per seed; a jobs file is one table for the sweep
+        tables = 1 if from_file else config.reps
+        assert [name for _, name in sorts] == [column] * tables
+        assert len({id(table) for table, _ in sorts}) == tables
+        assert len(rows) == 2 * 3 * config.reps
+
     def test_vm_speeds_list_sweeps_as_the_tuple(self, tmp_path):
         speeds = [700.0, 1300, 2100.0]
         config = tiny_config(vm_speeds=speeds, out=str(tmp_path / "list.csv"))
@@ -344,6 +375,23 @@ def test_count_fields_reject_floats_and_bools_naming_the_field(cls, field, value
         cls(**kwargs)
 
 
+@pytest.mark.parametrize("speeds", [(True, 2), (1000.0, False), ("1000",), (1000.0, 2 + 0j)])
+@pytest.mark.parametrize("cls,field", [(ExperimentConfig, "vm_speeds"), (FleetSpec, "speed_choices")],
+                         ids=["ExperimentConfig", "FleetSpec"])
+def test_speed_fields_reject_bools_and_non_reals_naming_the_field(cls, field, speeds):
+    kwargs = dict(REQUIRED_FIELDS.get(cls, {}))
+    kwargs[field] = speeds
+    message = rf"^{field} must be non-empty, finite and positive \(real, not bool\), got {re.escape(repr(speeds))}$"
+    with pytest.raises(ValueError, match=message):
+        cls(**kwargs)
+
+
+def test_speed_fields_take_numpy_reals():
+    speeds = (np.float32(500.0), np.int64(1000), 2500)
+    assert ExperimentConfig(vm_speeds=speeds).vm_speeds == (500.0, 1000.0, 2500.0)
+    assert [vm.speed for vm in generate_fleet(FleetSpec(vm_count=3, speed_choices=speeds))] == [500.0, 1000.0, 2500.0]
+
+
 def test_count_fields_take_numpy_integers():
     assert LcaParams(league_size=np.int64(4), seasons=np.int32(2), seed=np.int64(3), max_evaluations=np.int64(8))
     assert WorkloadSpec(job_count=np.int64(4), seed=np.int64(1))
@@ -401,9 +449,11 @@ class TestCli:
         assert len(lines) == 1 + 2 * 2 * 2
         assert summary_path_for(out).exists()
 
-    def test_invalid_configuration_exits_2(self):
+    def test_invalid_configuration_exits_2(self, capsys):
         assert main(["sweep", "--num-jobs", "0", "--vm-counts", "2"]) == 2
+        capsys.readouterr()
         assert main(["run", "--algorithm", "fcfs", "--num-vms", "0"]) == 2
+        assert capsys.readouterr().err == "error: --num-vms must be >= 1, got 0\n"
         with pytest.raises(SystemExit) as excinfo:
             main(["generate", "--num-jobs", "5"])  # --jobs-out is required
         assert excinfo.value.code == 2

@@ -18,6 +18,7 @@ from lcasched import (
 )
 from lcasched import decode_random_key
 from lcasched.evaluator import BatchDraft, BatchScorer, _ReplayScorer, _segmented_cummax
+from lcasched.problem import _job_columns
 
 from conftest import naive_metrics, naive_timeline, random_instance
 
@@ -126,6 +127,21 @@ class TestEvaluate:
         assert np.array_equal(evaluated.start_times, held[0])
         assert np.array_equal(evaluated.finish_times, held[1])
         assert simulator.metrics(first) == metrics
+
+    def test_simulators_on_one_table_share_its_column_and_not_their_work(self):
+        # the job table keeps one read-only service-order column; each simulator replays into its own arrays
+        jobs = _job_columns([Job(11 - i, 0.75 * (i % 4), 10 + 7 * i % 13) for i in range(12)])
+        vms = [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)]
+        first, second = ScheduleSimulator(jobs, vms), ScheduleSimulator(jobs, vms)
+        assignment = np.arange(12) % 3
+        timeline, metrics = first.run(assignment)
+        held = [np.copy(a) for a in (timeline.start_times, timeline.finish_times)]
+        second.run((assignment + 1) % 3)
+        assert second._work is not first._work
+        assert first._columns.service_jobs is second._columns.service_jobs
+        for array, copy in zip((timeline.start_times, timeline.finish_times), held):
+            assert np.array_equal(array, copy)
+        assert first.metrics(assignment) == metrics == evaluate(list(jobs), vms, assignment)[1]
 
 
 @st.composite
@@ -347,10 +363,12 @@ class TestBatchScorer:
         anchor.draft([0, 5], [0.5, 2.5])
         anchor.commit()
         scorer(np.linspace(0.0, 3.0, 12))
-        assert not {"_service_jobs", "_work"} & set(vars(scorer))
+        assert "_work" not in vars(scorer)
+        assert "service_jobs" not in vars(scorer._columns)
         assignment = np.arange(12) % 3
         assert scorer.metrics(assignment) == ScheduleSimulator(jobs, vms).metrics(assignment)
-        assert {"_service_jobs", "_work"} <= set(vars(scorer))
+        assert "_work" in vars(scorer)
+        assert "service_jobs" in vars(scorer._columns)
 
     def test_bad_assignment_rejected(self, three_jobs_two_vms):
         scorer = BatchScorer(*three_jobs_two_vms)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,6 +323,55 @@ class TestJobColumns:
         expected = _results(jobs, vms)
         assert _results(tuple(jobs), vms) == expected
         assert _results(_table(jobs), vms) == expected
+
+
+class TestDispatchOrders:
+    """A table's dispatch orders equal a two-key lexsort: decreasing column, ties by id, then by position."""
+
+    @staticmethod
+    def assert_orders_are_lexsorts(ids, arrivals, lengths):
+        table = _JobTable(np.array(ids, dtype=np.int64), np.array(arrivals), np.array(lengths, dtype=np.int64))
+        assert table.dispatch_order(None) == tuple(np.lexsort((table.ids, table.arrivals)).tolist())
+        for column in ("lengths", "arrivals"):
+            expected = tuple(np.lexsort((table.ids, -getattr(table, column))).tolist())
+            assert table.dispatch_order(column) == expected
+            assert table.dispatch_order(column) is table.dispatch_order(column)  # kept, not sorted again
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_orders_equal_lexsort(self, data):
+        # ids out of position order, as in a CSV; tied lengths and arrivals, -0.0 beside 0.0; lengths
+        # within 16 bits (radix-sorted keys) and beyond them, up to the int64 limit
+        num_jobs = data.draw(st.integers(1, 30))
+        ids = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=num_jobs, max_size=num_jobs, unique=True))
+        arrivals = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, 2.0, 7.25]), min_size=num_jobs, max_size=num_jobs))
+        top = data.draw(st.sampled_from([3, 20000, 2**16 + 5, 2**40, 2**63 - 1]))
+        lengths = data.draw(st.lists(st.integers(1, top), min_size=num_jobs, max_size=num_jobs))
+        self.assert_orders_are_lexsorts(ids, arrivals, lengths)
+
+    @pytest.mark.parametrize(
+        "ids, arrivals, lengths",
+        [
+            ([4], [2.5], [7]),  # a single job
+            ([3, 1, 2, 0], [0.0, -0.0, -0.0, 0.0], [5, 5, 5, 5]),  # every key tied
+            ([9, 2, 5, 1, 7], [1.0, 1.0, 0.0, 3.0, 1.0], [1, 2**63 - 1, 2**17, 1, 2**17]),  # 63-bit span
+            ([5, 3, 8, 1], [0.0] * 4, [2**16, 1, 2**16, 2**16 + 1]),  # a span of 2**16, just past uint16
+        ],
+    )
+    def test_orders_of_edge_tables(self, ids, arrivals, lengths):
+        self.assert_orders_are_lexsorts(ids, arrivals, lengths)
+
+    def test_replay_column_is_read_only_and_bit_exact(self):
+        jobs = [Job(3, 0.0, 10), Job(1, -0.0, 2**53 + 1), Job(2, 1.5, 7)]
+        table = _table(jobs)
+        assert "service_jobs" not in vars(table)
+        column = table.service_jobs
+        assert table.service_jobs is column
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+        order = table.service_order.tolist()
+        assert [math.copysign(1.0, a) for a in column.real] == [math.copysign(1.0, jobs[i].arrival_time) for i in order]
+        assert column.imag.tolist() == [float(jobs[i].length) for i in order]
 
 
 def _table(jobs):
