@@ -9,15 +9,23 @@ scan of all m queues, and tuple order sends ties to the lowest VM id.
 The returned assignment is aligned with the input job list; service order
 within a VM is decided by the evaluator, not by dispatch order.
 
+The heap is seeded: every VM is free at 0.0, and a job keeps its VM busy
+past 0.0 (a length is at least 1 and a speed is finite), so job k < m of
+the order goes to VM k without a heap step. The m entries are then
+heapified; they are distinct tuples, so ``heap[0]`` is the same at every
+later step whatever the layout, and the assignment is the unseeded one.
+
 The job columns and both dispatch orders come from ``problem._job_columns``,
 shared with the evaluator, which reads a job table as it is. A table sorts
 each order once, on first use, and keeps it as a tuple, so the cells of one
-table do not sort again.
+table do not sort again. It also keeps its lengths as floats, cast as numpy
+casts them, so each step divides a float by a float speed.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -35,17 +43,23 @@ def _dispatch(jobs, vms, column: str | None) -> np.ndarray:
     if not jobs or not vms:
         raise ValueError("jobs and vms must be non-empty")
     columns = _job_columns(jobs)
-    order = columns.dispatch_order(column)  # sorted once per table and kept
-    arrivals, lengths, replace = columns.arrival_list, columns.length_list, heapq.heapreplace
+    order = iter(columns.dispatch_order(column))  # sorted once per table and kept
+    arrivals, lengths, replace = columns.arrival_list, columns.float_lengths, heapq.heapreplace
     speeds = [vm.speed for vm in vms]
-    heap = [(0.0, vm) for vm in range(len(vms))]  # sorted, hence a valid heap
     assignment = [0] * len(jobs)
+    heap = []  # seeded: job k < m of the order takes VM k (see the module docstring)
+    for vm, position in enumerate(islice(order, len(speeds))):
+        arrival = arrivals[position]
+        heap.append(((arrival if arrival > 0.0 else 0.0) + lengths[position] / speeds[vm], vm))
+        assignment[position] = vm
+    heap += [(0.0, vm) for vm in range(len(heap), len(speeds))]
+    heapq.heapify(heap)
     for position in order:
         ready, vm = heap[0]
         arrival = arrivals[position]
         replace(heap, ((arrival if arrival > ready else ready) + lengths[position] / speeds[vm], vm))
         assignment[position] = vm
-    return np.array(assignment, dtype=np.int64)
+    return np.fromiter(assignment, np.int64, len(assignment))
 
 
 def fcfs_schedule(jobs: Sequence[Job], vms: Sequence[Vm]) -> np.ndarray:

@@ -152,9 +152,14 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    if args.num_vms < 1:  # checked here, as the config would name its own field, vm_counts
+def _check_num_vms(args) -> None:
+    """Checked here, as the config or the fleet spec would name its own field (vm_counts, vm_count)."""
+    if args.num_vms < 1:
         raise ValueError(f"--num-vms must be >= 1, got {args.num_vms}")
+
+
+def _cmd_run(args) -> int:
+    _check_num_vms(args)
     config = _experiment_config(args, vm_counts=(args.num_vms,), no_timing=args.no_timing)
     row = run_cell(config, args.algorithm, args.num_vms, args.seed)
     if args.out:
@@ -183,6 +188,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_num_vms(args)
     if args.jobs_file is not None:
         jobs = read_jobs_csv(args.jobs_file)
     else:

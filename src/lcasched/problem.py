@@ -64,7 +64,7 @@ class _JobTable(Sequence):
     and kept read-only, beside the dispatch loop's lists and ``place``, the inverse of ``service_order``.
 
     What depends on the jobs alone is built on first use and kept, read-only, as long as the table:
-    the replay's ``service_jobs`` column and each ``dispatch_order``."""
+    the replay's ``service_jobs`` column, each ``dispatch_order`` and the dispatch's ``float_lengths``."""
 
     def __init__(self, ids: np.ndarray, arrivals: np.ndarray, lengths: np.ndarray):
         bad = arrivals[~((0.0 <= arrivals) & (arrivals < math.inf))]  # NaN fails both comparisons
@@ -88,6 +88,11 @@ class _JobTable(Sequence):
         jobs = jobs[self.service_order]
         jobs.flags.writeable = False
         return jobs
+
+    @functools.cached_property
+    def float_lengths(self) -> tuple[float, ...]:  # built on a dispatch's first call
+        """Each length as numpy casts it to float, so the dispatch divides a float by a float speed."""
+        return tuple(self.lengths.astype(float).tolist())
 
     def dispatch_order(self, column: str | None) -> tuple[int, ...]:
         """Positions in (arrival, id) order for ``None``, else by decreasing ``column`` ("lengths" or

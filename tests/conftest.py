@@ -3,6 +3,7 @@ import pytest
 
 import lcasched.bench
 from lcasched import Job, Vm
+from lcasched.problem import _JobTable
 
 
 def naive_timeline(jobs, vms, assignment):
@@ -116,4 +117,19 @@ def vms_built(monkeypatch):
         post_init(vm)
 
     monkeypatch.setattr(Vm, "__post_init__", counting)
+    return built
+
+
+@pytest.fixture
+def float_length_builds(monkeypatch):
+    """A list that gains every job table whose ``float_lengths`` is built from now on."""
+    built = []
+    cached = vars(_JobTable)["float_lengths"]
+    build = cached.func
+
+    def counting(table):
+        built.append(table)
+        return build(table)
+
+    monkeypatch.setattr(cached, "func", counting)
     return built

@@ -121,13 +121,14 @@ def reference_greedy(jobs, vms, dispatch_order):
 @st.composite
 def staggered_instances(draw):
     """Up to 40 jobs with ids listed out of order and arrivals drawn from a
-    few values (ties are common) or from a range, on 1-8 VMs."""
+    few values (ties are common, -0.0 among them) or from a range, on 1-300
+    VMs: fewer jobs than VMs, as many, or more."""
     num_jobs = draw(st.integers(1, 40))
     ids = draw(st.permutations(range(num_jobs)))
-    arrival = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0]), st.floats(0.0, 100.0))
+    arrival = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 40.0]), st.floats(0.0, 100.0))
     arrivals = draw(st.lists(arrival, min_size=num_jobs, max_size=num_jobs))
     lengths = draw(st.lists(st.integers(1, 200), min_size=num_jobs, max_size=num_jobs))
-    speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.7]), min_size=1, max_size=8))
+    speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.7]), min_size=1, max_size=300))
     jobs = [Job(i, a, n) for i, a, n in zip(ids, arrivals, lengths)]
     return jobs, [Vm(v, s) for v, s in enumerate(speeds)]
 
@@ -161,6 +162,13 @@ def ljf_last_arrival(jobs, vms):
     return ljf_schedule(jobs, vms, mode="last-arrival")
 
 
+each_dispatcher = pytest.mark.parametrize(
+    "scheduler,order",
+    [(fcfs_schedule, fcfs_order), (ljf_schedule, ljf_order), (ljf_last_arrival, last_arrival_order)],
+    ids=["fcfs", "ljf", "ljf-last-arrival"],
+)
+
+
 class TestDispatchDifferential:
     @settings(max_examples=150, deadline=None)
     @given(staggered_instances())
@@ -180,16 +188,25 @@ class TestDispatchDifferential:
         jobs, vms = case
         assert fcfs_schedule(jobs, vms).tolist() == reference_greedy(jobs, vms, fcfs_order(jobs))
 
-    @pytest.mark.parametrize(
-        "scheduler,order",
-        [(fcfs_schedule, fcfs_order), (ljf_schedule, ljf_order), (ljf_last_arrival, last_arrival_order)],
-        ids=["fcfs", "ljf", "ljf-last-arrival"],
-    )
+    @each_dispatcher
     @settings(max_examples=60, deadline=None)
     @given(case=batch_instances())
     def test_batch_equal_speeds_match_reference(self, scheduler, order, case):
         jobs, vms = case
         assert scheduler(jobs, vms).tolist() == reference_greedy(jobs, vms, order(jobs))
+
+    @each_dispatcher
+    @pytest.mark.parametrize("num_jobs", [4, 5, 6], ids=["n=m-1", "n=m", "n=m+1"])
+    def test_first_jobs_of_the_order_take_vms_in_id_order(self, scheduler, order, num_jobs):
+        # staggered arrivals (-0.0 among them) on five VMs of mixed speeds: job k < m of the
+        # order takes VM k, and job m, if any, goes to the VM that frees up first
+        arrivals = [3.0, -0.0, 0.0, 7.5, 0.0, 2.0]
+        lengths = [40, 5, 12, 1, 30, 8]
+        jobs = [Job(i, a, n) for i, a, n in zip([5, 2, 0, 4, 1, 3], arrivals, lengths)][:num_jobs]
+        vms = [Vm(v, s) for v, s in enumerate([2.0, 0.5, 1.0, 3.7, 1.0])]
+        expected = reference_greedy(jobs, vms, order(jobs))
+        assert [expected[p] for p in order(jobs)[: len(vms)]] == list(range(min(num_jobs, len(vms))))
+        assert scheduler(jobs, vms).tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

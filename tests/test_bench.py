@@ -272,7 +272,9 @@ class TestRunSweep:
         ids=["longest", "last-arrival"],
     )
     @pytest.mark.parametrize("from_file", [False, True], ids=["generated", "jobs_file"])
-    def test_ljf_cells_sort_once_per_table_and_column(self, tmp_path, monkeypatch, overrides, column, from_file):
+    def test_ljf_cells_sort_once_per_table_and_column(
+        self, tmp_path, monkeypatch, float_length_builds, overrides, column, from_file
+    ):
         sorts = []
         descending = _JobTable._descending
 
@@ -292,6 +294,8 @@ class TestRunSweep:
         tables = 1 if from_file else config.reps
         assert [name for _, name in sorts] == [column] * tables
         assert len({id(table) for table, _ in sorts}) == tables
+        # FCFS and LJF cells share each table's float lengths
+        assert sorted(map(id, float_length_builds)) == sorted(id(table) for table, _ in sorts)
         assert len(rows) == 2 * 3 * config.reps
 
     def test_vm_speeds_list_sweeps_as_the_tuple(self, tmp_path):
@@ -453,6 +457,8 @@ class TestCli:
         assert main(["sweep", "--num-jobs", "0", "--vm-counts", "2"]) == 2
         capsys.readouterr()
         assert main(["run", "--algorithm", "fcfs", "--num-vms", "0"]) == 2
+        assert capsys.readouterr().err == "error: --num-vms must be >= 1, got 0\n"
+        assert main(["oracle", "--num-vms", "0"]) == 2
         assert capsys.readouterr().err == "error: --num-vms must be >= 1, got 0\n"
         with pytest.raises(SystemExit) as excinfo:
             main(["generate", "--num-jobs", "5"])  # --jobs-out is required

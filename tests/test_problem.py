@@ -361,6 +361,20 @@ class TestDispatchOrders:
     def test_orders_of_edge_tables(self, ids, arrivals, lengths):
         self.assert_orders_are_lexsorts(ids, arrivals, lengths)
 
+    def test_float_lengths_are_built_once_and_exact(self, float_length_builds):
+        # lengths past 2**53 round to the nearest float, as both numpy's cast and float() do; 2**24 + 1
+        # is exact in a double but not in a single
+        lengths = [1, 2**24 + 1, 2**53 + 1, 2**53 + 3, 2**63 - 1]
+        table = _table(Job(i, 0.0, n) for i, n in enumerate(lengths))
+        vms = [Vm(0, 1.0), Vm(1, 3.7)]
+        for _ in range(2):  # FCFS and both LJF modes share the one build
+            fcfs_schedule(table, vms)
+            ljf_schedule(table, vms)
+            ljf_schedule(table, vms, mode="last-arrival")
+        assert len(float_length_builds) == 1 and float_length_builds[0] is table
+        assert table.float_lengths == tuple(float(n) for n in lengths)
+        assert all(type(x) is float for x in table.float_lengths)
+
     def test_replay_column_is_read_only_and_bit_exact(self):
         jobs = [Job(3, 0.0, 10), Job(1, -0.0, 2**53 + 1), Job(2, 1.5, 7)]
         table = _table(jobs)
