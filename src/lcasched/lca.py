@@ -235,11 +235,9 @@ def _drafter(params: LcaParams, lower, upper):
     relative to the team that just played our next rival (approach it if it
     won, retreat if it lost), one to this week's opponent (retreat from it if
     we beat it, approach it if it beat us). Each side's formation is its row
-    under its overrides (``own`` for the team). Below 128 slots the slots are
-    a permutation prefix, which keeps the stream of small problems, and the
-    gains a (2, count) block. From 128 up one ``rng.random(3 * count)`` gives
-    Floyd's uniforms and both gain rows, so every draw is a double and
-    ``rng`` may read them from blocks."""
+    under its overrides (``own`` for the team). After the count's quantile,
+    one ``rng.random(3 * count)`` gives Floyd's uniforms and then both gain
+    rows, so every draw is a double and ``rng`` may read them from blocks."""
     dimension = len(lower)
     count_of = _count_quantile(dimension, params.change_prob)
     retreat, approach = params.retreat_coeff, params.approach_coeff
@@ -247,17 +245,12 @@ def _drafter(params: LcaParams, lower, upper):
     def draft(rng, won: bool, rival_opponent_won: bool, best, row, own, opponent, over_o, rival_opponent, over_r):
         count = count_of(rng.random())
         last = range(dimension - count, dimension)
-        if dimension < 128:
-            picks = rng.permutation(dimension)[:count].tolist()  # distinct, so each is taken as drawn
-            gains = rng.random(2 * count).tolist()
-        else:
-            # Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987): for j in ``last``,
-            # take t = floor(u * (j + 1)), or j if t is already taken (u < 1 keeps
-            # t <= j in floats too). For 3 slots (numpy 2.4, 2-core x86) a permutation
-            # took 6 us at 128 slots, 13 at 500 and 94 at 5000; Floyd 3-4 us at any size.
-            gains = rng.random(3 * count)
-            picks = [int(u * (j + 1)) for j, u in zip(last, gains)]
-            gains = gains[count:]
+        # Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987): for j in ``last``,
+        # take t = floor(u * (j + 1)), or j if t is already taken (u < 1 keeps
+        # t <= j in floats too).
+        gains = rng.random(3 * count)
+        picks = [int(u * (j + 1)) for j, u in zip(last, gains)]
+        gains = gains[count:]
         rival_coeff = approach if rival_opponent_won else retreat
         opponent_coeff = retreat if won else approach
         keys: dict[int, float] = {}  # slot -> key, in draw order
@@ -288,14 +281,13 @@ def swot_update(
 ) -> np.ndarray:
     """Draw the changed slots and their gains, then build the next formation.
 
-    Draw order: one quantile for the change count, then the changed slots,
-    then a (2, count) gain block whose columns pair with the slots in draw
-    order. Below 128 slots the slots are ``rng.permutation(dimension)[:count]``;
-    from 128 up Floyd's sampling picks them in O(count) from ``count``
-    uniforms, drawn in one call with the gains. Changed slots are rebuilt
-    by ``_drafter``'s two pulls and clamped into the domain; unchanged slots
+    Draw order: one quantile for the change count, then one block of
+    ``3 * count`` doubles: ``count`` uniforms from which Floyd's sampling
+    picks the changed slots in O(count), then two gain rows whose columns
+    pair with the slots in draw order. Changed slots are rebuilt by
+    ``_drafter``'s two pulls and clamped into the domain; unchanged slots
     carry the team's best formation exactly. ``optimize`` drafts through
-    the same draw; from 128 slots up it reads the same doubles from blocks.
+    the same draw and reads the same doubles from blocks.
     """
     vectors = (team.best_formation, team.formation, opponent_formation, rival_opponent_formation)
     if any(np.shape(vec) != (domain.dimension,) for vec in vectors):
@@ -310,8 +302,9 @@ def swot_update(
 
 class _Doubles:
     """``rng.random`` read from blocks of 1024 doubles or more: numpy draws each
-    double from one 64-bit output, so while every draw is a double these are
-    the doubles that direct calls give, in the same order."""
+    double from one 64-bit output, and every draw of ``optimize``'s week loop
+    is a double, so these are the doubles that direct calls give, in the same
+    order."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng, self._doubles, self._next = rng, [], 0
@@ -386,8 +379,8 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     personal bests, plus each team's last draft as slot overrides when it
     did not become the team's best. Drafts read this week's state at their
     slots; bests and overrides change at week end. The draws are those of
-    ``play_week`` and ``swot_update`` on one generator; from 128 slots up,
-    where all are doubles, the same doubles are read from blocks.
+    ``play_week`` and ``swot_update`` on one generator, all doubles, read
+    from blocks.
 
     Each team scores its drafts with a scorer anchored at its personal best:
     ``fitness`` is the objective there, ``draft(slots, keys)`` scores the
@@ -405,8 +398,7 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
 
     rng = np.random.default_rng(params.seed)
     formations = rng.uniform(domain.lower, domain.upper, size=(league, n))
-    if n >= 128:  # every later draw is a double (see _drafter)
-        rng = _Doubles(rng)
+    rng = _Doubles(rng)
     scorer_of = getattr(type(objective), "delta_scorer", _CopyDraft)
     scorers, fitness = [], []
     for evaluations, x in enumerate(formations, 1):

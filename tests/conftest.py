@@ -70,6 +70,17 @@ def swot_formation(
     return best + (gain_rival * rival_pull + gain_opponent * opponent_pull)
 
 
+def floyd_sample(rng, dimension, count):
+    """Reference for the optimizer's slot draw: Floyd's sampling from one
+    ``rng.random(count)`` draw, in draw order. Kept independent of
+    ``lca._drafter`` on purpose."""
+    slots = []
+    for j, u in zip(range(dimension - count, dimension), rng.random(count)):
+        t = int(u * (j + 1))
+        slots.append(j if t in slots else t)
+    return slots
+
+
 def random_instance(rng, max_jobs=6, max_vms=3, staggered=False):
     """Tiny fuzz instance; ``staggered`` draws nonzero arrivals."""
     n = int(rng.integers(1, max_jobs + 1))

@@ -33,7 +33,7 @@ from lcasched import (
 from lcasched.bench import summary_path_for
 from lcasched.lca import BoxDomain, Team, _count_quantile
 
-from conftest import random_instance
+from conftest import floyd_sample, random_instance
 
 VM_SWEEP = (10, 30, 50, 70, 90, 110, 130)
 
@@ -191,7 +191,7 @@ def test_ac4_invariant_suites():
         mirror = np.random.default_rng(trial)
         count = _count_quantile(10, params.change_prob)(mirror.random())
         mask = np.zeros(10, dtype=bool)
-        mask[mirror.permutation(10)[:count]] = True
+        mask[floyd_sample(mirror, 10, count)] = True
         new = swot_update(
             team, vectors[2], vectors[3], bool(trial & 1), bool(trial & 2), params, domain, draw_rng
         )

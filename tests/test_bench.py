@@ -67,7 +67,10 @@ class TestRunCell:
         assert row.objective_value == 20.0
         assert row.wall_ms == 0.0
 
-    def test_lca_close_to_oracle_with_exhaustive_budget(self, tmp_path):
+    def test_lca_close_to_oracle_in_most_seeds(self, tmp_path):
+        # 16 evaluations in a 4-team league do not enumerate the 16
+        # assignments, so no single seed is sure to reach the optimum. Of
+        # seeds 0-199, 131 reach it; at least half must.
         jobs = [Job(0, 0.0, 10), Job(1, 0.0, 20), Job(2, 0.0, 30), Job(3, 0.0, 40)]
         jobs_file = tmp_path / "jobs.csv"
         write_jobs_csv(jobs, jobs_file)
@@ -82,9 +85,9 @@ class TestRunCell:
             weights=weights,
             no_timing=True,
         )
-        row = run_cell(config, "lca", 2, seed=3)
-        assert row.evaluations == 16
-        assert row.objective_value <= weights.score(optimal) * 1.05
+        rows = [run_cell(config, "lca", 2, seed=seed) for seed in range(200)]
+        assert all(row.evaluations == 16 for row in rows)
+        assert sum(row.objective_value <= weights.score(optimal) * 1.05 for row in rows) >= 100
 
     def test_deterministic_per_seed(self):
         config = tiny_config()

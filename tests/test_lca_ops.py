@@ -15,7 +15,7 @@ from lcasched import (
 )
 from lcasched.lca import _count_quantile, _Doubles, _drafter
 
-from conftest import swot_formation
+from conftest import floyd_sample, swot_formation
 
 # Gaps and shifts are kept well clear of the last few ulps so the 1e-12
 # tolerances below are meaningful rather than vacuous.
@@ -159,15 +159,6 @@ class TestChangeCount:
         assert 1 in counts
 
 
-def floyd_sample(rng, dimension, count):
-    """Floyd's sampling from one ``rng.random(count)`` draw, in draw order."""
-    slots = []
-    for j, u in zip(range(dimension - count, dimension), rng.random(count)):
-        t = int(u * (j + 1))
-        slots.append(j if t in slots else t)
-    return slots
-
-
 def changed_slots(dimension, change_prob, calls):
     """For each of ``calls`` successive ``swot_update`` calls, the slots it
     changes and the change count that a mirror of its first draw gives.
@@ -207,14 +198,14 @@ class TestChangedSlots:
         # each slot is changed with probability E[count] / 5
         assert np.all(np.abs(hits / trials - changes / (5 * trials)) < 0.01)
 
-    # From 128 slots up the slots come from Floyd's sampling. At change_prob
-    # 0.01 on 200 slots a draw changes about 70 of them, so the uniformity
-    # check below is far from vacuous, and collisions are common.
-    def test_popcount_above_floyd_threshold(self):
+    # At change_prob 0.01 on 200 slots a draw changes about 70 of them, so the
+    # uniformity check below is far from vacuous, and Floyd's sampling meets
+    # taken slots often.
+    def test_popcount_at_200_slots(self):
         for mask, count in changed_slots(200, 0.01, 300):
             assert mask.sum() == count
 
-    def test_slots_never_repeat_above_floyd_threshold(self):
+    def test_slots_never_repeat_at_200_slots(self):
         # the week loop's draft at 200 slots, with the change count's quantile
         # scripted and every other double from rng
         class Scripted:
@@ -240,7 +231,7 @@ class TestChangedSlots:
                 assert all(0 <= s < 200 for s in slots)
                 assert slots == floyd_sample(mirror, 200, count)
 
-    def test_uniform_selection_above_floyd_threshold(self):
+    def test_uniform_selection_at_200_slots(self):
         trials = 20_000
         hits = np.zeros(200)
         changes = 0
@@ -316,7 +307,7 @@ class TestSwotUpdate:
             mirror = np.random.default_rng(1000 + trial)
             count = _count_quantile(12, params.change_prob)(mirror.random())
             mask = np.zeros(12, dtype=bool)
-            mask[mirror.permutation(12)[:count]] = True
+            mask[floyd_sample(mirror, 12, count)] = True
             new = swot_update(
                 team,
                 vectors[2],
@@ -342,13 +333,10 @@ class TestSwotUpdate:
     def test_update_agrees_with_full_vector_formula(self):
         # swot_update rebuilds only the changed slots; scattering the same
         # draws into full-length vectors and applying the formula everywhere
-        # must give the identical result. Dimension 9 draws its slots with a
-        # permutation, dimension 600 (128 or more) with Floyd's sampling.
+        # must give the identical result. At 9 slots Floyd's sampling often
+        # meets a taken slot; at 600 it rarely does.
         setup_rng = np.random.default_rng(55)
-        for dimension, trials, draw_slots in (
-            (9, 200, lambda mirror, count: mirror.permutation(9)[:count]),
-            (600, 100, lambda mirror, count: floyd_sample(mirror, 600, count)),
-        ):
+        for dimension, trials in ((9, 200), (600, 100)):
             domain = BoxDomain.cube(dimension, -3.0, 3.0)
             params = LcaParams(league_size=4, seasons=1, change_prob=0.3, seed=0)
             for trial in range(trials):
@@ -358,13 +346,11 @@ class TestSwotUpdate:
                 rng = np.random.default_rng(5000 + trial)
                 mirror = np.random.default_rng(5000 + trial)
                 count = _count_quantile(dimension, params.change_prob)(mirror.random())
+                changed = floyd_sample(mirror, dimension, count)  # in draw order
                 mask = np.zeros(dimension, dtype=bool)
-                mask[draw_slots(mirror, count)] = True
+                mask[changed] = True
                 gains = mirror.random((2, count))
                 # scatter the block gains onto the drawn slots, in draw order
-                mirror2 = np.random.default_rng(5000 + trial)
-                mirror2.random()  # the change count's quantile
-                changed = draw_slots(mirror2, count)
                 gain_rival = np.zeros(dimension)
                 gain_opponent = np.zeros(dimension)
                 gain_rival[changed] = gains[0]
@@ -394,7 +380,7 @@ class TestSwotUpdate:
 
     @pytest.mark.parametrize("won", [False, True])
     @pytest.mark.parametrize("rival_opponent_won", [False, True])
-    @pytest.mark.parametrize("dimension", [9, 600])  # slots by permutation, and by Floyd's sampling
+    @pytest.mark.parametrize("dimension", [9, 600])  # Floyd's sampling meets taken slots more often at 9
     def test_drafter_equals_swot_formation_and_clip(self, dimension, won, rival_opponent_won):
         # optimize's draft rebuilds each slot inline; its keys must equal the
         # reference formula clamped by np.clip, bit for bit, with every side read
@@ -412,17 +398,14 @@ class TestSwotUpdate:
         params = LcaParams(league_size=4, seasons=1, change_prob=0.05, retreat_coeff=1.5, approach_coeff=0.7, seed=0)
         draft = _drafter(params, lower.tolist(), upper.tolist())
         rng, mirror = np.random.default_rng(7), np.random.default_rng(7)
-        source = rng if dimension < 128 else _Doubles(rng)  # as optimize reads them
+        source = _Doubles(rng)  # as optimize reads them
         best = rows[0].tolist()
         for _ in range(60):
             drafted = draft(source, won, rival_opponent_won, best, best, overrides[0], rows[1].tolist(),
                             overrides[1], rows[2].tolist(), overrides[2])
             slots, keys = list(drafted), list(drafted.values())
             count = _count_quantile(dimension, params.change_prob)(mirror.random())
-            if dimension < 128:
-                assert slots == mirror.permutation(dimension)[:count].tolist()
-            else:
-                assert slots == floyd_sample(mirror, dimension, count)
+            assert slots == floyd_sample(mirror, dimension, count)
             gains = mirror.random((2, count))
             expected = np.clip(
                 swot_formation(rows[0][slots], *dense[:, slots], won, rival_opponent_won, 1.5, 0.7, *gains),

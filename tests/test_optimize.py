@@ -174,7 +174,7 @@ def assert_same_result(first, second):
         (40, 1, MetricWeights(), 0),
         (60, 3, MetricWeights(1.0, 1.0, 1.0), 1),
         (120, 270, MetricWeights(0.5, 0.0, 2.0), 2),
-        (600, 20, MetricWeights(), 3),  # 128 slots or more: drawn by Floyd's sampling
+        (600, 20, MetricWeights(), 3),  # the size of the refactor gate's batch600 cell
         (500, 130, MetricWeights(makespan=1.0, completion=0.0, response=0.0), 4),
     ],
 )
@@ -245,7 +245,7 @@ class BoxCheckedObjective:
         return Drafts()
 
 
-@pytest.mark.parametrize("num_jobs", [50, 300])  # below and above the 128-slot Floyd threshold
+@pytest.mark.parametrize("num_jobs", [50, 300])  # Floyd's sampling meets taken slots more often at 50
 def test_per_slot_bounds_hold_and_delta_equals_plain(num_jobs):
     num_vms = 7
     rng = np.random.default_rng(num_jobs)
@@ -267,8 +267,8 @@ def test_per_slot_bounds_hold_and_delta_equals_plain(num_jobs):
 
 def test_staggered_delta_run_equals_plain_run():
     # staggered drafts patch the anchor's VM keys and replay; the run must not
-    # depend on which path scored it. Cases: tied arrivals, 128 slots or more
-    # (Floyd's sampling), 16-bit VM keys, and a three-metric weight mix.
+    # depend on which path scored it. Cases: tied arrivals, 300 slots, 16-bit
+    # VM keys, and a three-metric weight mix.
     tied = [Job(i, float(i // 7), 1 + (i * 37) % 50) for i in range(40)]
     for jobs, num_vms, weights, seed in (
         (tied, 3, MetricWeights(1.0, 1.0, 1.0), 0),
@@ -288,9 +288,9 @@ def test_staggered_delta_run_equals_plain_run():
         assert_same_result(delta, replayed)
 
 
-# Below and above the 128-slot Floyd threshold; at 2000 slots and change_prob
-# 0.0005 a draft's 3 * count doubles can exceed the 1024 that optimize draws
-# ahead at a time.
+# At 10 slots Floyd's sampling often meets a taken slot; at 2000 slots and
+# change_prob 0.0005 a draft's 3 * count doubles can exceed the 1024 that
+# optimize draws ahead at a time.
 @pytest.mark.parametrize("num_slots, change_prob", [(10, 0.05), (300, 0.05), (2000, 0.0005)], ids=["10", "300", "2000"])
 def test_optimize_drafts_with_the_public_operators(num_slots, change_prob):
     # a league run by hand with play_week and swot_update on one generator
