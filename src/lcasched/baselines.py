@@ -2,12 +2,12 @@
 
 Both walk the jobs in a fixed dispatch order and hand each to the VM whose
 queue frees up earliest, accounting for the job's arrival. FCFS dispatches
-in arrival order; LJF dispatches longest job first by default, or latest
-arrival first in ``last-arrival`` mode. The VMs sit in a binary heap of
-``(ready_time, vm_id)`` tuples, so a dispatch costs O(log m) instead of a
-scan of all m queues, and tuple order sends ties to the lowest VM id.
-The returned assignment is aligned with the input job list; service order
-within a VM is decided by the evaluator, not by dispatch order.
+in arrival order; LJF longest job first by default, or latest arrival first
+in ``last-arrival`` mode (the paper's "Last Job First"). The VMs sit in a
+binary heap of ``(ready_time, vm_id)`` tuples, so a dispatch costs O(log m)
+instead of a scan of all m queues, and tuple order sends ties to the lowest
+VM id. The returned assignment is aligned with the input job list; service
+order within a VM is decided by the evaluator, not by dispatch order.
 
 The heap is seeded: every VM is free at 0.0, and a job keeps its VM busy
 past 0.0 (a length is at least 1 and a speed is finite), so job k < m of
@@ -68,9 +68,10 @@ def fcfs_schedule(jobs: Sequence[Job], vms: Sequence[Vm]) -> np.ndarray:
 
 
 def ljf_schedule(jobs: Sequence[Job], vms: Sequence[Vm], mode: str = "longest") -> np.ndarray:
-    """Longest job first: dispatch by decreasing length (ties by id).
+    """LJF, longest job first: dispatch by decreasing length (ties by id).
 
-    ``mode='last-arrival'`` dispatches by decreasing arrival time instead.
+    ``mode='last-arrival'`` dispatches by decreasing arrival time instead,
+    the paper's "Last Job First"; on a batch instance that is FCFS's order.
     """
     if mode not in LJF_MODES:
         raise ValueError(f"unknown ljf mode: {mode!r}")

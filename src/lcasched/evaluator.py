@@ -12,11 +12,11 @@ service order, its inverse and the replay's service-order column come
 from ``problem._job_columns``, shared with the scorers and the baselines,
 which reads a job table as it is. ``make_objective`` returns one of two
 scorers over random-key vectors. Both are ``ScheduleSimulator``s that
-decode keys into service order; the batch one scores by exact integer sums.
-``_ReplayScorer``, for staggered instances, replays the keys, and its
-drafts (``_ReplayDraft``, an ``lca._CopyDraft``) patch a copy of them and
-replay it unless no job moved; its subclass ``BatchScorer`` rescores a few
-moved jobs without a replay (``BatchDraft``).
+decode keys into service order: ``_ReplayScorer`` (staggered instances)
+replays them, and its subclass ``BatchScorer`` scores exact integer sums.
+Their drafts take the optimizer's ``{position: key}`` dict: ``_ReplayDraft``
+(an ``lca._CopyDraft``) replays a copy of the anchor's VM keys with the moved
+jobs patched in unless none moved; ``BatchDraft`` rescores without a replay.
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
 an exact reference.
 """
@@ -213,28 +213,30 @@ class _ReplayScorer(ScheduleSimulator):
 
 
 class _ReplayDraft(_CopyDraft):
-    """One formation's service-order VM keys; a draft patches the moved jobs'
-    keys in a copy and replays it, unless no job moved."""
+    """One formation's service-order VM keys; a draft puts the moved jobs on
+    their new VMs in a copy of them and replays it, unless no job moved."""
 
     def __init__(self, scorer: _ReplayScorer, vm_sorted: np.ndarray):
         self._place, self._top = scorer._columns.place, scorer.num_vms - 1
         super().__init__(scorer._score, vm_sorted)
 
-    def _write(self, vm_sorted: np.ndarray, positions: Sequence[int], keys: Sequence[float]) -> bool:
-        """Put job ``positions[i]`` on the VM key ``keys[i]`` decodes to
-        (``decode_random_key``, one key at a time); return whether any job
-        changed VM, as a draft that moves none is not replayed."""
-        if not all(map(math.isfinite, keys)) or min(positions, default=0) < 0:
+    def draft(self, keys: dict[int, float]) -> float:
+        """Score the anchor with each job ``p`` on the VM ``keys[p]`` decodes to
+        (``decode_random_key``, one key at a time), copying the anchor's VM keys
+        at the first job that changes VM: a draft that moves none copies nothing."""
+        if not all(map(math.isfinite, keys.values())) or min(keys, default=0) < 0:
             raise ValueError("keys must be finite and positions nonnegative")
         place, top = self._place, self._top
-        moved = False
-        for p, key in zip(positions, keys):
+        anchor = vm_sorted = self._anchor
+        for p, key in keys.items():
             r, vm = place[p], math.floor(key)
             vm = 0 if vm < 0 else top if vm > top else vm
             if vm_sorted.item(r) != vm:
+                if vm_sorted is anchor:
+                    vm_sorted = anchor.copy()
                 vm_sorted[r] = vm
-                moved = True
-        return moved
+        self._pending = (anchor, self.fitness) if vm_sorted is anchor else (vm_sorted, self._objective(vm_sorted))
+        return self._pending[1]
 
 
 class BatchScorer(_ReplayScorer):
@@ -342,8 +344,6 @@ class BatchDraft:
     in reverse order, also when a move raises, leaving the anchor exactly
     as it was. A draft that moves no job returns the anchor's fitness and
     copies nothing. ``commit`` re-applies the moves at their recorded indices.
-    No position may repeat in a draft: a repeated job would be looked up
-    on a VM it has already left, corrupting the anchor's lists.
     """
 
     def __init__(self, scorer: BatchScorer, x: np.ndarray):
@@ -363,17 +363,17 @@ class BatchDraft:
         self.fitness = scorer._value(self._class_weighted, self._class_totals, self._totals)
         self._pending = ((), self._class_weighted, self._class_totals, self.fitness)
 
-    def draft(self, positions: Sequence[int], keys: Sequence[float]) -> float:
-        """Score the anchor with job ``positions[i]`` on the VM key ``keys[i]``
-        decodes to (``decode_random_key``, one key at a time); no position repeats."""
-        if not all(map(math.isfinite, keys)) or min(positions, default=0) < 0:  # before any list edit
+    def draft(self, keys: dict[int, float]) -> float:
+        """Score the anchor with each job ``p`` on the VM ``keys[p]`` decodes to
+        (``decode_random_key``, one key at a time)."""
+        if not all(map(math.isfinite, keys.values())) or min(keys, default=0) < 0:  # before any list edit
             raise ValueError("keys must be finite and positions nonnegative")
         rank, length, class_of, top = self._place, self._length, self._class_of, self._top
         vm_by_rank, ranks, lengths = self._vm_by_rank, self._ranks, self._lengths
         weighted, totals = self._class_weighted, self._class_totals
         moves = []
         try:
-            for p, key in zip(positions, keys):
+            for p, key in keys.items():
                 r = rank[p]
                 a, b = vm_by_rank[r], math.floor(key)
                 b = 0 if b < 0 else top if b > top else b

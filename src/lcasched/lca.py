@@ -332,26 +332,18 @@ class OptimizeResult:
 
 class _CopyDraft:
     """Draft scorer over a plain objective, anchored at formation ``x`` (protocol
-    in ``optimize``): a draft writes the keys into a copy of the anchor and scores
-    it, and a commit keeps that copy. A subclass patches by overriding ``_write``,
-    which returns False when the copy scores as the anchor does; such a draft
-    returns the anchor's fitness without calling the objective."""
+    in ``optimize``): a draft writes its keys into a copy of the anchor and scores
+    the copy, and a commit keeps that copy."""
 
     def __init__(self, objective: Objective, x: np.ndarray):
         self._objective, self._anchor = objective, x
         self.fitness = objective(x)
         self._pending = (x, self.fitness)
 
-    def _write(self, copy: np.ndarray, slots: list[int], keys: list[float]) -> bool:
-        copy[slots] = keys
-        return True
-
-    def draft(self, slots: list[int], keys: list[float]) -> float:
+    def draft(self, keys: dict[int, float]) -> float:
         copy = self._anchor.copy()
-        if self._write(copy, slots, keys):
-            self._pending = (copy, self._objective(copy))
-        else:
-            self._pending = (self._anchor, self.fitness)
+        copy[list(keys)] = list(keys.values())
+        self._pending = (copy, self._objective(copy))
         return self._pending[1]
 
     def commit(self) -> None:
@@ -383,14 +375,14 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     from blocks.
 
     Each team scores its drafts with a scorer anchored at its personal best:
-    ``fitness`` is the objective there, ``draft(slots, keys)`` scores the
-    anchor with ``keys[i]`` at slot ``slots[i]`` (the drawn slots in draw
-    order, never repeated; a key may equal the anchor's), and ``commit()``
-    moves the anchor to the last draft when it becomes the team's best. The
-    scorer is ``delta_scorer(x)`` if the objective's class defines it, which
-    must return exactly what the objective would; otherwise a draft calls
-    the objective on a patched copy of the anchor. Every fitness must be
-    finite: a NaN or infinite value raises ``ValueError`` naming the evaluation.
+    ``fitness`` is the objective there, ``draft(keys)`` scores the anchor
+    with the drafter's ``{slot: key}`` dict written in (a key may equal the
+    anchor's), and ``commit()`` moves the anchor to the last draft when it
+    becomes the team's best. The scorer is ``delta_scorer(x)`` if the
+    objective's class defines it, which must return exactly what the
+    objective would; otherwise a draft calls the objective on a patched
+    copy of the anchor. Every fitness must be finite: a NaN or infinite
+    value raises ``ValueError`` naming the evaluation.
     """
     league = params.league_size
     n = domain.dimension
@@ -434,7 +426,7 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
                 rng, won[i], won[rival_opponent], best, best, overrides[i],
                 best_rows[opponent], overrides[opponent], best_rows[rival_opponent], overrides[rival_opponent],
             )
-            f = float(scorers[i].draft(list(keys), list(keys.values())))
+            f = float(scorers[i].draft(keys))
             evaluations += 1
             if not math.isfinite(f):
                 raise ValueError(f"objective returned {f} at evaluation {evaluations}")

@@ -138,7 +138,7 @@ def _job_columns(jobs: Sequence[Job]) -> _JobTable:
 
 @dataclass(frozen=True)
 class Vm:
-    """Processing resource running at ``speed`` machine instructions per second (MIPS)."""
+    """Processing resource running at ``speed`` machine instructions per second (MIPS), kept as a float."""
 
     id: int
     speed: float
@@ -148,8 +148,13 @@ class Vm:
             raise ValueError(f"vm id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise ValueError("vm id must be nonnegative")
-        if not (_is_real(self.speed) and 0.0 < self.speed < math.inf):
+        try:
+            speed = float(self.speed) if _is_real(self.speed) else math.nan
+        except OverflowError:  # an integer or fraction past the float range
+            speed = math.inf
+        if not 0.0 < speed < math.inf:  # the float, as a tiny long double rounds to 0.0
             raise ValueError(f"speed must be finite and positive (real, not bool), got {self.speed!r}")
+        object.__setattr__(self, "speed", speed)  # so every layer computes in float64, as the replay does
 
 
 @dataclass(frozen=True)

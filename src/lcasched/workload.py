@@ -132,7 +132,7 @@ def generate_fleet(spec: FleetSpec) -> list[Vm]:
     else:
         rng = np.random.default_rng(spec.seed)
         speeds = rng.choice(np.asarray(spec.speed_choices, dtype=float), size=spec.vm_count)
-    return [Vm(id=i, speed=float(speeds[i])) for i in range(spec.vm_count)]
+    return [Vm(id=i, speed=speeds[i]) for i in range(spec.vm_count)]
 
 
 def read_jobs_csv(source) -> list[Job]:

@@ -80,6 +80,14 @@ class TestLjf:
         # latest arrival dispatched first, so it claims VM 0
         assert ljf_schedule(jobs, vms, mode="last-arrival").tolist() == [2, 1, 0]
 
+    def test_single_precision_speeds_dispatch_as_floats(self):
+        # ready times were once computed in float32 from such speeds: [2, 3, 0, 0, 3, 0, 3, 0, 1]
+        jobs = [Job(i, 0.0, n) for i, n in enumerate([18, 4, 3, 3, 14, 19, 18, 13, 19])]
+        speeds = [np.float32(s) for s in (3.7, 0.3, 0.3, 3.7)]
+        as_floats = ljf_schedule(jobs, [Vm(v, float(s)) for v, s in enumerate(speeds)]).tolist()
+        assert as_floats == [2, 0, 3, 3, 3, 0, 3, 0, 1]
+        assert ljf_schedule(jobs, [Vm(v, s) for v, s in enumerate(speeds)]).tolist() == as_floats
+
     def test_unknown_mode_rejected(self, three_jobs_two_vms):
         jobs, vms = three_jobs_two_vms
         with pytest.raises(ValueError):

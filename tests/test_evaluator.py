@@ -264,7 +264,7 @@ class TestBatchScorer:
         for positions, targets, commit in drafts:
             moved = assignment.copy()
             moved[positions] = targets
-            value = anchor.draft(positions, targets)
+            value = anchor.draft(dict(zip(positions, targets)))
             assert value == scorer(moved.astype(float))
             # The replay's starts are a cumsum over all queues minus the queue's
             # offset, so its error scales with the total busy time, not the value.
@@ -288,7 +288,7 @@ class TestBatchScorer:
         assert scorer(np.array([0.0, 1.0, 0.0])) == pytest.approx(40.0 + 20.0 + 10.0 / 3.0, rel=1e-15)
         anchor = BatchDraft(scorer, np.array([0, 1, 0]))
         # swap jobs 0 and 1: VM 0 serves id 1 then id 2 (finish 20, 50), VM 1 serves id 0 (5)
-        assert anchor.draft([0, 1], [1, 0]) == scorer(np.array([1.0, 0.0, 0.0]))
+        assert anchor.draft({0: 1, 1: 0}) == scorer(np.array([1.0, 0.0, 0.0]))
         assert anchor.fitness == scorer(np.array([0.0, 1.0, 0.0]))
         anchor.commit()
         assert anchor.fitness == pytest.approx(50.0 + 75.0 / 3.0 + 20.0 / 3.0, rel=1e-15)
@@ -300,7 +300,7 @@ class TestBatchScorer:
         jobs = [Job(i, 0.0, 5 + i) for i in range(6)]
         scorer = BatchScorer(jobs, [Vm(0, 2.0)])
         anchor = BatchDraft(scorer, np.zeros(6, dtype=np.int64))
-        assert anchor.draft(list(range(6)), [0] * 6) == anchor.fitness
+        assert anchor.draft(dict.fromkeys(range(6), 0)) == anchor.fitness
 
     def test_anchor_decodes_keys_like_a_call(self):
         # the anchor is a key vector, floored and clamped into the VM range as a
@@ -336,7 +336,7 @@ class TestBatchScorer:
             targets = rng.integers(0, 2, size=3).tolist()
             moved = assignment.copy()
             moved[positions] = targets
-            assert anchor.draft(positions, targets) == scorer(moved.astype(float))
+            assert anchor.draft(dict(zip(positions, targets))) == scorer(moved.astype(float))
             reference = scorer.weights.score(ScheduleSimulator(jobs, vms).metrics(moved))
             assert scorer(moved.astype(float)) == pytest.approx(reference, rel=1e-12)
 
@@ -346,21 +346,21 @@ class TestBatchScorer:
         anchor = BatchDraft(scorer, np.array([0, 0, 1, 1]))
         fitness = anchor.fitness
         with pytest.raises(IndexError):
-            anchor.draft([0, 7], [1.5, 0.5])  # job 0 moves to VM 1, then position 7 does not exist
+            anchor.draft({0: 1.5, 7: 0.5})  # job 0 moves to VM 1, then position 7 does not exist
         assert anchor._ranks == [[0, 1], [2, 3]]
         anchor.commit()  # the raising draft left nothing to commit
         assert anchor.fitness == fitness
-        assert anchor.draft([0, 3], [1.5, 0.5]) == scorer(np.array([1.0, 0.0, 1.0, 0.0]))
+        assert anchor.draft({0: 1.5, 3: 0.5}) == scorer(np.array([1.0, 0.0, 1.0, 0.0]))
         anchor.commit()
         assert anchor.fitness == scorer(np.array([1.0, 0.0, 1.0, 0.0]))
-        assert anchor.draft([1], [1.0]) == scorer(np.array([1.0, 1.0, 1.0, 0.0]))
+        assert anchor.draft({1: 1.0}) == scorer(np.array([1.0, 1.0, 1.0, 0.0]))
 
     def test_holds_no_replay_columns_until_a_replay_needs_them(self):
         jobs = [Job(i, 0.0, 10 + 7 * i) for i in range(12)]
         vms = [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)]
         scorer = BatchScorer(jobs, vms, MetricWeights(1.0, 1.0, 1.0))
         anchor = scorer.delta_scorer(np.full(12, 1.5))
-        anchor.draft([0, 5], [0.5, 2.5])
+        anchor.draft({0: 0.5, 5: 2.5})
         anchor.commit()
         scorer(np.linspace(0.0, 3.0, 12))
         assert "_work" not in vars(scorer)
@@ -441,7 +441,7 @@ class TestReplayScorer:
             ]
             moved = x.copy()
             moved[positions] = keys
-            value = anchor.draft(positions, keys)
+            value = anchor.draft(dict(zip(positions, keys)))
             assert value == scorer(moved) == replayed(moved)
             if commit:
                 anchor.commit()
@@ -457,7 +457,7 @@ class TestReplayScorer:
         anchor = scorer.delta_scorer(x)
         fitness = anchor.fitness
         with pytest.raises(ValueError, match="keys must be finite"):
-            anchor.draft([0, 3], [1.5, bad])
+            anchor.draft({0: 1.5, 3: bad})
         anchor.commit()  # the rejected draft left nothing to commit
         assert anchor.fitness == fitness == scorer(x)
         bad_x = x.copy()
@@ -486,12 +486,12 @@ class TestReplayScorer:
         fitness = anchor.fitness
         for positions in ([-1], [0, -1]):
             with pytest.raises(ValueError, match="positions nonnegative"):
-                anchor.draft(positions, [0.5] * len(positions))
+                anchor.draft(dict.fromkeys(positions, 0.5))
         if scorer_class is BatchScorer:
             assert anchor._ranks == [[0, 1], [2, 3]]
         anchor.commit()  # the rejected drafts left nothing to commit
         assert anchor.fitness == fitness == scorer(x)
-        assert anchor.draft([3], [0.5]) == scorer(np.array([0.0, 0.0, 1.0, 0.5]))
+        assert anchor.draft({3: 0.5}) == scorer(np.array([0.0, 0.0, 1.0, 0.5]))
 
 
 class TestDraftsThatMoveNoJob:
@@ -509,13 +509,13 @@ class TestDraftsThatMoveNoJob:
 
         anchor._value = no_value
         # other keys on the same VMs, and keys past either end that clamp to them
-        assert anchor.draft([0, 2, 7, 3], [0.2, 2.9, 5.0, -4.0]) == anchor.fitness
+        assert anchor.draft({0: 0.2, 2: 2.9, 7: 5.0, 3: -4.0}) == anchor.fitness
         anchor.commit()
         assert anchor.fitness == scorer(x)
         anchor._value = scorer._value
         moved = x.copy()
         moved[[0, 3]] = [0.2, 2.5]
-        assert anchor.draft([0, 3], [0.2, 2.5]) == scorer(moved)
+        assert anchor.draft({0: 0.2, 3: 2.5}) == scorer(moved)
 
     def test_staggered_draft_is_not_replayed(self):
         jobs = [Job(i, 1.5 * i, 10 + 7 * i) for i in range(8)]
@@ -527,15 +527,28 @@ class TestDraftsThatMoveNoJob:
         def no_replay(vm_sorted):
             raise AssertionError("a draft that moves no job was replayed")
 
+        class NoCopy(np.ndarray):
+            def copy(self, *args, **kwargs):
+                raise AssertionError("a draft that moves no job copied the anchor")
+
         anchor._objective = no_replay
+        anchor._anchor = vm_keys = anchor._anchor.view(NoCopy)
         # other keys on the same VMs, and keys past either end that clamp to them
-        assert anchor.draft([0, 2, 7, 3], [0.2, 2.9, 5.0, -4.0]) == anchor.fitness
+        assert anchor.draft({0: 0.2, 2: 2.9, 7: 5.0, 3: -4.0}) == anchor.fitness
+        assert anchor._pending[0] is vm_keys
         anchor.commit()
         assert anchor.fitness == scorer(x)
-        anchor._objective = replay
+        assert anchor._anchor is vm_keys
+        anchor._objective, anchor._anchor = replay, np.asarray(vm_keys)
+        before = anchor._anchor.copy()
         moved = x.copy()
         moved[[0, 3]] = [0.2, 2.5]
-        assert anchor.draft([0, 3], [0.2, 2.5]) == scorer(moved)
+        assert anchor.draft({0: 0.2, 3: 2.5}) == scorer(moved)
+        # the moves went into a copy: the anchor's VM keys stay as they were until the commit
+        assert np.array_equal(anchor._anchor, before)
+        anchor.commit()
+        assert anchor.fitness == scorer(moved)
+        assert np.array_equal(anchor._anchor, scorer._vm_keys(moved))
 
 
 def segmented_cummax_reference(values, first):

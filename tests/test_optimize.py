@@ -233,14 +233,18 @@ class BoxCheckedObjective:
         outer = self
 
         class Drafts:
-            fitness = inner.fitness
             commit = inner.commit
 
-            def draft(self, slots, keys):
+            @property
+            def fitness(self):
+                return inner.fitness
+
+            def draft(self, keys):
+                slots, values = list(keys), np.array(list(keys.values()))
                 lower, upper = outer.domain.lower[slots], outer.domain.upper[slots]
-                assert np.all(lower <= keys) and np.all(keys <= upper)
-                outer.keys_on_bound += int(np.sum((keys == lower) | (keys == upper)))
-                return inner.draft(slots, keys)
+                assert np.all(lower <= values) and np.all(values <= upper)
+                outer.keys_on_bound += int(np.sum((values == lower) | (values == upper)))
+                return inner.draft(keys)
 
         return Drafts()
 
@@ -366,10 +370,10 @@ class TestNonFiniteFitness:
                 self.anchor = self.last = x.copy()
                 self.fitness = sphere(x)
 
-            def draft(self, slots, keys):
+            def draft(self, keys):
                 Objective.drafts += 1
                 self.last = self.anchor.copy()
-                self.last[slots] = keys
+                self.last[list(keys)] = list(keys.values())
                 return np.inf if Objective.drafts == bad_draft else sphere(self.last)
 
             def commit(self):

@@ -14,6 +14,7 @@ from lcasched import (
     decode_random_key,
     evaluate,
     fcfs_schedule,
+    generate_workload,
     ljf_schedule,
     make_objective,
     WorkloadSpec,
@@ -105,6 +106,14 @@ class TestMakeObjective:
             shuffled_jobs = [jobs[p] for p in perm]
             assert make_objective(shuffled_jobs, vms)(x[perm]) == baseline
 
+    def test_single_precision_speeds_score_as_floats(self):
+        # the batch scorer once divided by float32 speeds: 101197.85 against 101197.85043107359
+        jobs = generate_workload(WorkloadSpec(job_count=50, seed=1))
+        speeds = [np.float32(s) for s in (0.3, 0.7, 1.1, 3.7)]
+        x = np.random.default_rng(0).uniform(0, 4, 50)
+        single = make_objective(jobs, [Vm(v, s) for v, s in enumerate(speeds)])(x)
+        assert single == make_objective(jobs, [Vm(v, float(s)) for v, s in enumerate(speeds)])(x)
+
     def test_deterministic(self, three_jobs_two_vms):
         jobs, vms = three_jobs_two_vms
         objective = make_objective(jobs, vms)
@@ -127,10 +136,10 @@ class TestMakeObjective:
             for key in keys:
                 moved = x.copy()
                 moved[slot] = key
-                assert drafts.draft([slot], [key]) == objective(moved)
+                assert drafts.draft({slot: key}) == objective(moved)
         moved = x.copy()
         moved[[7, 0, 5, 2, 4, 1]] = keys
-        assert drafts.draft([7, 0, 5, 2, 4, 1], keys) == objective(moved)
+        assert drafts.draft(dict(zip([7, 0, 5, 2, 4, 1], keys))) == objective(moved)
         drafts.commit()
         assert drafts.fitness == objective(moved)
 
@@ -140,12 +149,12 @@ class TestMakeObjective:
         drafts = objective.delta_scorer(x)
         fitness = drafts.fitness
         with pytest.raises(ValueError, match="keys must be finite"):
-            drafts.draft([0, 1], [2.5, bad])
+            drafts.draft({0: 2.5, 1: bad})
         drafts.commit()  # the rejected draft left nothing to commit
         assert drafts.fitness == fitness == objective(x)
         moved = x.copy()
         moved[[0, 1]] = [2.5, 0.5]
-        assert drafts.draft([0, 1], [2.5, 0.5]) == objective(moved)
+        assert drafts.draft({0: 2.5, 1: 0.5}) == objective(moved)
 
     def test_empty_inputs_rejected(self, three_jobs_two_vms):
         jobs, vms = three_jobs_two_vms
@@ -215,9 +224,16 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=r"^speed must be finite and positive \(real, not bool\), got "):
             Vm(0, bad)
 
+    @pytest.mark.parametrize("bad", [np.longdouble("1e-4000"), 10**400], ids=["tiny_long_double", "huge_int"])
+    def test_vm_speed_is_checked_as_the_float_it_is_stored_as(self, bad):
+        # a long double this small is positive but rounds to 0.0, which replays as NaN metrics
+        with pytest.raises(ValueError, match="^speed must be finite and positive"):
+            Vm(0, bad)
+
     @pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2)])
     def test_arrival_and_speed_accept_real_numbers(self, value):
         assert Job(0, value, 10).arrival_time == Vm(0, value).speed == 2.0
+        assert type(Vm(0, value).speed) is float
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
