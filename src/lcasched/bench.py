@@ -8,9 +8,10 @@ source a cell asked for, a jobs file's path or a generated workload's
 spec, as one table of job columns (``problem._JobTable``), until a cell
 asks for another one (the ``lru_cache(maxsize=1)`` of ``_jobs``). What
 depends on the jobs alone lives as long as that entry: the table builds
-its replay column and each dispatch order on first use and keeps them
-read-only, so the cells of one table share them, and each LJF mode sorts
-once per table. It likewise keeps the last seed's three sub-seeds,
+its replay column, each dispatch order, the batch check and the batch
+drafts' rank and length ints on first use and keeps them read-only, so
+the cells of one table share them, and each LJF mode sorts once per
+table. It likewise keeps the last seed's three sub-seeds,
 and up to ``_FLEET_CACHE_SIZE`` (64) fleets, each a tuple of ``Vm`` built
 once per ``FleetSpec``. A sweep runs its cells seed-major (seed, then
 algorithm, then VM count), so each seed's jobs are drawn straight into

@@ -251,11 +251,11 @@ class BatchScorer(_ReplayScorer):
         avg_response   = sum_v (S_v - T_v) / s_v / n
         makespan       = max_v T_v / s_v
 
-    The sums are exact (integer lengths, and ``applies`` keeps n times the
-    total length below 2**63), and the sums of VMs of equal speed are
-    folded before dividing. ``_value`` is the one function from sums to
-    score; it reduces with ``math.fsum``, so a score depends only on the
-    integer sums, never on the order or layout they were computed in.
+    The sums are exact (integer lengths, and ``applies``, the job table's
+    ``fits_batch``, keeps n times the total length below 2**63), and the
+    sums of VMs of equal speed are folded before dividing. ``_value`` is the
+    one function from sums to score; it reduces with ``math.fsum``, so a score
+    depends only on the integer sums, never on the order or layout they were computed in.
     A call decodes the keys into service order as the base class does and
     scores their sums (``_score``) instead of replaying; ``delta_scorer``
     keeps one formation's per-VM state so that moving k jobs is rescored
@@ -265,8 +265,8 @@ class BatchScorer(_ReplayScorer):
 
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
         super().__init__(jobs, vms, weights)
-        if not self.applies(jobs):
-            raise ValueError("exact batch scoring needs zero arrivals and n * total length < 2**63")
+        if not self.applies(self._columns):
+            raise ValueError("exact batch scoring needs zero arrivals and n * total length < 2**63 (fits_batch)")
         self._lengths_by_rank = self._columns.lengths[self._service_order]  # id order, as every arrival is zero
         self._speed = [v.speed for v in vms]
         self._class_speed = sorted(set(self._speed))
@@ -278,10 +278,8 @@ class BatchScorer(_ReplayScorer):
 
     @staticmethod
     def applies(jobs: Sequence[Job]) -> bool:
-        """True when every job arrives at zero and the sums fit in int64."""
-        return bool(jobs) and not (columns := _job_columns(jobs)).arrivals.any() and (
-            len(jobs) * sum(columns.length_list) < 2**63
-        )
+        """True for a non-empty job list whose table meets the batch rule, ``_JobTable.fits_batch``."""
+        return bool(jobs) and _job_columns(jobs).fits_batch
 
     def _sums(self, vm_sorted: np.ndarray):
         """Per-VM S and T of the service-order VM keys ``vm_sorted``, plus its jobs' ranks
@@ -353,7 +351,7 @@ class BatchDraft:
         self._class_of, self._top = scorer._class_of, scorer.num_vms - 1
         self._makespan, self._value = scorer.weights.makespan, scorer._value
         self._vm_by_rank = vm_sorted.tolist()
-        ranks, lengths = group.tolist(), scorer._lengths_by_rank[group].tolist()
+        ranks, lengths = (objects[group].tolist() for objects in scorer._columns.rank_objects)  # the table's ints
         bounds = list(zip(starts.tolist(), ends.tolist()))
         self._ranks = [ranks[a:b] for a, b in bounds]
         self._lengths = [lengths[a:b] for a, b in bounds]

@@ -62,8 +62,9 @@ class BoxDomain:
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
             raise ValueError("bounds must be 1-d arrays of equal, nonzero length")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise ValueError("bounds must be finite")
+        with np.errstate(over="ignore"):  # optimize draws lower + span * u: an infinite span is refused, unwarned
+            if not (np.isfinite(lower).all() and np.isfinite(upper - lower).all()):
+                raise ValueError("bounds and their spans must be finite")
         if not (lower < upper).all():
             raise ValueError("each lower bound must be strictly below its upper bound")
 
@@ -389,7 +390,7 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     budget = math.inf if params.max_evaluations is None else params.max_evaluations
 
     rng = np.random.default_rng(params.seed)
-    formations = rng.uniform(domain.lower, domain.upper, size=(league, n))
+    formations = domain.lower + (domain.upper - domain.lower) * rng.random((league, n))  # = rng.uniform, bit for bit
     rng = _Doubles(rng)
     scorer_of = getattr(type(objective), "delta_scorer", _CopyDraft)
     scorers, fitness = [], []

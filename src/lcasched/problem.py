@@ -64,7 +64,8 @@ class _JobTable(Sequence):
     and kept read-only, beside the dispatch loop's lists and ``place``, the inverse of ``service_order``.
 
     What depends on the jobs alone is built on first use and kept, read-only, as long as the table:
-    the replay's ``service_jobs`` column, each ``dispatch_order`` and the dispatch's ``float_lengths``."""
+    the replay's ``service_jobs`` column, each ``dispatch_order``, the dispatch's ``float_lengths``, and
+    for batch scoring ``BatchScorer.applies``'s check (``fits_batch``) and the ``rank_objects``."""
 
     def __init__(self, ids: np.ndarray, arrivals: np.ndarray, lengths: np.ndarray):
         bad = arrivals[~((0.0 <= arrivals) & (arrivals < math.inf))]  # NaN fails both comparisons
@@ -88,6 +89,19 @@ class _JobTable(Sequence):
         jobs = jobs[self.service_order]
         jobs.flags.writeable = False
         return jobs
+
+    @functools.cached_property
+    def fits_batch(self) -> bool:
+        """The batch rule of ``BatchScorer``: zero arrivals, and n * total length < 2**63 so its sums fit int64."""
+        return not self.arrivals.any() and len(self) * sum(self.length_list) < 2**63
+
+    @functools.cached_property
+    def rank_objects(self) -> tuple[np.ndarray, np.ndarray]:  # built on a batch draft's first call
+        """Service ranks, and lengths in rank order, as object arrays of ``place``'s and ``length_list``'s ints."""
+        ranks = np.array(self.place, dtype=object)[self.service_order]  # the place of rank r's job is r
+        lengths = np.array(self.length_list, dtype=object)[self.service_order]
+        ranks.flags.writeable = lengths.flags.writeable = False
+        return ranks, lengths
 
     @functools.cached_property
     def float_lengths(self) -> tuple[float, ...]:  # built on a dispatch's first call
@@ -136,6 +150,14 @@ def _job_columns(jobs: Sequence[Job]) -> _JobTable:
     )
 
 
+def _speed_float(speed) -> float:
+    """``speed`` as the float a ``Vm`` stores: NaN unless it is a real and not a bool, inf past the float range."""
+    try:
+        return float(speed) if _is_real(speed) else math.nan
+    except OverflowError:  # an integer or fraction past the float range
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Vm:
     """Processing resource running at ``speed`` machine instructions per second (MIPS), kept as a float."""
@@ -148,10 +170,7 @@ class Vm:
             raise ValueError(f"vm id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise ValueError("vm id must be nonnegative")
-        try:
-            speed = float(self.speed) if _is_real(self.speed) else math.nan
-        except OverflowError:  # an integer or fraction past the float range
-            speed = math.inf
+        speed = _speed_float(self.speed)
         if not 0.0 < speed < math.inf:  # the float, as a tiny long double rounds to 0.0
             raise ValueError(f"speed must be finite and positive (real, not bool), got {self.speed!r}")
         object.__setattr__(self, "speed", speed)  # so every layer computes in float64, as the replay does

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .lca import _check_integer
-from .problem import Job, Vm, _is_real, _JobTable
+from .problem import Job, Vm, _JobTable, _speed_float
 
 __all__ = [
     "CsvFormatError",
@@ -86,7 +86,7 @@ def _check_length_bounds(len_min, len_max) -> None:
 
 def _check_speeds(name: str, speeds) -> None:
     """Reject speed choices unless there are some and each is a finite positive real, not a bool, as ``Vm`` checks."""
-    if not speeds or not all(_is_real(s) and 0.0 < s < math.inf for s in speeds):
+    if not speeds or not all(0.0 < _speed_float(s) < math.inf for s in speeds):
         raise ValueError(f"{name} must be non-empty, finite and positive (real, not bool), got {speeds!r}")
 
 

@@ -393,6 +393,18 @@ def test_speed_fields_reject_bools_and_non_reals_naming_the_field(cls, field, sp
         cls(**kwargs)
 
 
+@pytest.mark.parametrize("speeds", [(np.longdouble("1e-4000"),), (1000.0, 10**400)], ids=["rounds-to-zero", "overflows"])
+@pytest.mark.parametrize("cls,field", [(ExperimentConfig, "vm_speeds"), (FleetSpec, "speed_choices")],
+                         ids=["ExperimentConfig", "FleetSpec"])
+def test_speed_fields_check_the_float_a_vm_stores(cls, field, speeds):
+    # a tiny long double rounds to a speed of 0.0 and a huge int overflows a float:
+    # both fail when the config is built, naming the field, as Vm refuses them
+    kwargs = dict(REQUIRED_FIELDS.get(cls, {}))
+    kwargs[field] = speeds
+    with pytest.raises(ValueError, match=rf"^{field} must be non-empty, finite and positive"):
+        cls(**kwargs)
+
+
 def test_speed_fields_take_numpy_reals():
     speeds = (np.float32(500.0), np.int64(1000), 2500)
     assert ExperimentConfig(vm_speeds=speeds).vm_speeds == (500.0, 1000.0, 2500.0)

@@ -323,6 +323,31 @@ class TestBatchScorer:
         with pytest.raises(ValueError):
             BatchScorer([Job(0, 0.0, 10)], [])
 
+    def test_applies_at_the_int64_edge(self):
+        # n times the total length must stay strictly below 2**63, also once the table keeps the check
+        fits, too_big = [Job(0, 0.0, 2**63 - 1)], [Job(0, 0.0, 2**61), Job(1, 0.0, 2**61)]
+        assert BatchScorer.applies(fits) and not BatchScorer.applies(too_big)
+        for jobs, expected in ((fits, True), (too_big, False)):
+            table = _job_columns(jobs)
+            assert table.fits_batch is expected  # cached now
+            assert BatchScorer.applies(table) is expected
+        BatchScorer(fits, [Vm(0, 1.0)])
+        with pytest.raises(ValueError, match="n \\* total length < 2\\*\\*63"):
+            BatchScorer(_job_columns(too_big), [Vm(0, 1.0)])
+
+    def test_drafts_keep_the_tables_int_objects(self):
+        # the anchor's per-VM lists hold the very ints of the table's place and length lists
+        # (300 jobs, so most ranks lie past the ints that CPython caches)
+        table = _job_columns([Job(i, 0.0, 1000 + 7 * i) for i in range(300)])
+        scorer = BatchScorer(table, [Vm(0, 1.0), Vm(1, 2.0), Vm(2, 2.0)])
+        anchor = scorer.delta_scorer(np.random.default_rng(3).uniform(0.0, 3.0, 300))
+        ranks = [r for vm in anchor._ranks for r in vm]
+        lengths = [size for vm in anchor._lengths for size in vm]
+        assert sorted(ranks) == list(range(300))
+        by_rank = dict(zip(table.place, table.length_list))
+        for r, size in zip(ranks, lengths):
+            assert r is table.place[table.service_order[r]] and size is by_rank[r]
+
     def test_large_lengths_stay_exact(self):
         # sums beyond 2**53 are exact integers, and the score still matches the replay
         jobs = [Job(i, 0.0, 2**50 + i) for i in range(40)]

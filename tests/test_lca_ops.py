@@ -477,3 +477,8 @@ class TestBoxDomain:
     def test_invalid_bounds(self, lower, upper):
         with pytest.raises(ValueError):
             BoxDomain(np.array(lower), np.array(upper))
+
+    def test_span_must_be_finite(self):
+        # optimize draws the league as lower + span * random(), so a span past the float range is refused
+        with pytest.raises(ValueError, match="bounds and their spans must be finite"):
+            BoxDomain(np.array([0.0, -1e308]), np.array([1.0, 1e308]))

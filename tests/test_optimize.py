@@ -152,6 +152,28 @@ def test_formations_stay_inside_domain():
     assert np.all(stacked >= domain.lower) and np.all(stacked <= domain.upper)
 
 
+@pytest.mark.parametrize("shape", ["assignment", "non-cube"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_league_draw_is_rng_uniform_bit_for_bit(shape, seed):
+    # the first league_size calls through _CopyDraft score the drawn league,
+    # which must be numpy's uniform draw byte for byte on the optimizer's seed
+    if shape == "assignment":
+        domain = assignment_domain(37, 13)
+    else:
+        bounds = np.random.default_rng(seed + 100)
+        domain = BoxDomain(-bounds.uniform(0.1, 3.0, 37), bounds.uniform(0.2, 9.0, 37))
+    calls = []
+
+    def recorded(x):
+        calls.append(x.copy())
+        return sphere(x)
+
+    params = LcaParams(league_size=8, seasons=1, seed=seed, max_evaluations=8)
+    optimize(recorded, domain, params)
+    expected = np.random.default_rng(seed).uniform(domain.lower, domain.upper, size=(8, 37))
+    assert np.array(calls).tobytes() == expected.tobytes()
+
+
 def test_best_formation_matches_best_fitness():
     result = optimize(
         sphere,
