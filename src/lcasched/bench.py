@@ -100,14 +100,14 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("num_jobs", "reps", "base_seed", "workers"):
-            _check_integer(name, getattr(self, name))
+        _check_integer("num_jobs", self.num_jobs, 1 if self.jobs_file is None else None)
+        _check_integer("reps", self.reps, 1)
+        _check_integer("base_seed", self.base_seed, 0)
+        _check_integer("workers", self.workers, 1)
         for count in self.vm_counts:
-            _check_integer("vm_counts entry", count)
-        if not self.vm_counts or any(m < 1 for m in self.vm_counts):
-            raise ValueError("vm_counts must be non-empty with every count >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            _check_integer("vm_counts entry", count, 1)
+        if not self.vm_counts:
+            raise ValueError("vm_counts must be non-empty")
         if not self.algorithms:
             raise ValueError("algorithms must be non-empty")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -117,13 +117,7 @@ class ExperimentConfig:
             raise ValueError("algorithms must not repeat")
         if self.ljf_mode not in LJF_MODES:
             raise ValueError(f"ljf_mode must be one of {LJF_MODES}")
-        if self.jobs_file is None and self.num_jobs < 1:
-            raise ValueError("num_jobs must be positive")
         _check_length_bounds(self.len_min, self.len_max)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         _check_speeds("vm_speeds", self.vm_speeds)
         object.__setattr__(self, "vm_speeds", tuple(map(float, self.vm_speeds)))  # hashable, so fleets cache by spec
 
@@ -234,8 +228,7 @@ def run_cell(config: ExperimentConfig, algorithm: str, num_vms: int, seed: int) 
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_integer("seed", seed, 0)
     started = time.perf_counter()
     jobs, vms, optimizer_seed = _cell_inputs(config, num_vms, seed)
     simulator = ScheduleSimulator(jobs, vms)

@@ -22,7 +22,7 @@ from .bench import (
 )
 from .baselines import LJF_MODES
 from .evaluator import brute_force_optimal
-from .lca import LcaParams
+from .lca import LcaParams, _check_integer
 from .problem import MetricWeights
 from .workload import (
     DEFAULT_LEN_MAX,
@@ -98,13 +98,17 @@ def _add_lca_options(parser):
     group.add_argument("--max-evals", type=int, default=None, help="objective evaluation budget")
 
 
-def _add_scoring_options(parser):
+def _add_weights_option(parser):
     parser.add_argument(
         "--weights",
         type=_weights,
         default=MetricWeights(),
         help="objective weights as w_makespan,w_completion,w_response (default 0,1,0)",
     )
+
+
+def _add_scoring_options(parser):
+    _add_weights_option(parser)
     parser.add_argument("--ljf-mode", choices=LJF_MODES, default="longest")
 
 
@@ -154,8 +158,7 @@ def _cmd_generate(args) -> int:
 
 def _check_num_vms(args) -> None:
     """Checked here, as the config or the fleet spec would name its own field (vm_counts, vm_count)."""
-    if args.num_vms < 1:
-        raise ValueError(f"--num-vms must be >= 1, got {args.num_vms}")
+    _check_integer("--num-vms", args.num_vms, 1)
 
 
 def _cmd_run(args) -> int:
@@ -248,12 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(num_jobs=6)
     oracle.add_argument("--num-vms", type=int, required=True)
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument(
-        "--weights",
-        type=_weights,
-        default=MetricWeights(),
-        help="objective weights as w_makespan,w_completion,w_response",
-    )
+    _add_weights_option(oracle)
     oracle.set_defaults(func=_cmd_oracle)
     for command in (run, sweep, oracle):  # generate writes a trace and reads none
         command.add_argument("--jobs-file", help="read jobs from this CSV instead of generating them")

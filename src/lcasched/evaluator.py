@@ -251,7 +251,7 @@ class BatchScorer(_ReplayScorer):
         avg_response   = sum_v (S_v - T_v) / s_v / n
         makespan       = max_v T_v / s_v
 
-    The sums are exact (integer lengths, and ``applies``, the job table's
+    The sums are exact (integer lengths, and the job table's batch rule,
     ``fits_batch``, keeps n times the total length below 2**63), and the
     sums of VMs of equal speed are folded before dividing. ``_value`` is the
     one function from sums to score; it reduces with ``math.fsum``, so a score
@@ -265,7 +265,7 @@ class BatchScorer(_ReplayScorer):
 
     def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
         super().__init__(jobs, vms, weights)
-        if not self.applies(self._columns):
+        if not self._columns.fits_batch:
             raise ValueError("exact batch scoring needs zero arrivals and n * total length < 2**63 (fits_batch)")
         self._lengths_by_rank = self._columns.lengths[self._service_order]  # id order, as every arrival is zero
         self._speed = [v.speed for v in vms]
@@ -275,11 +275,6 @@ class BatchScorer(_ReplayScorer):
         self._class_heads = np.searchsorted(
             np.asarray(self._class_of)[self._by_class], np.arange(len(self._class_speed))
         )
-
-    @staticmethod
-    def applies(jobs: Sequence[Job]) -> bool:
-        """True for a non-empty job list whose table meets the batch rule, ``_JobTable.fits_batch``."""
-        return bool(jobs) and _job_columns(jobs).fits_batch
 
     def _sums(self, vm_sorted: np.ndarray):
         """Per-VM S and T of the service-order VM keys ``vm_sorted``, plus its jobs' ranks

@@ -37,15 +37,34 @@ Objective = Callable[[np.ndarray], float]
 """Cost function over formation vectors; must be deterministic, lower is better."""
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; not a bool, nor a float of integral value."""
-    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
-
-
-def _check_integer(name: str, value) -> None:
-    """Raise ``ValueError`` naming the field ``name`` unless ``value`` is an integer."""
-    if not _is_integer(value):
+def _check_integer(name: str, value, low: int | None = None) -> None:
+    """Raise ``ValueError`` naming the field ``name`` unless ``value`` is an integer (an int or a numpy
+    integer; not a bool, nor a float of integral value) and, given ``low``, at least ``low``."""
+    if not (type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _real_float(value) -> float:
+    """``value`` as the float it is computed as: NaN unless it is a real (an int, a float or a numpy
+    real) and not a bool, inf past the float range."""
+    if not (type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an integer or fraction past the float range
+        return math.inf
+
+
+def _check_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float; raise ``ValueError`` naming the field ``name`` unless it is a real, not a
+    bool, whose float is finite and nonnegative, or positive if ``positive`` (a tiny long double is 0.0)."""
+    x = _real_float(value)
+    if not ((0.0 < x if positive else 0.0 <= x) and x < math.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign} (real, not bool), got {value!r}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +90,7 @@ class BoxDomain:
     @classmethod
     def cube(cls, dimension: int, lower: float, upper: float) -> "BoxDomain":
         """Box with the same bounds in every dimension."""
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
+        _check_integer("dimension", dimension, 1)
         return cls(np.full(dimension, float(lower)), np.full(dimension, float(upper)))
 
     @property
@@ -101,22 +119,20 @@ class LcaParams:
     max_evaluations: int | None = None
 
     def __post_init__(self):
-        for name in ("league_size", "seasons", "seed"):
-            _check_integer(name, getattr(self, name))
+        _check_integer("league_size", self.league_size)
+        _check_integer("seasons", self.seasons, 1)
+        _check_integer("seed", self.seed, 0)
         if self.max_evaluations is not None:
             _check_integer("max_evaluations", self.max_evaluations)
         if self.league_size < 4 or self.league_size % 2:
             raise ValueError("league_size must be an even integer >= 4")
-        if self.seasons < 1:
-            raise ValueError("seasons must be a positive integer")
-        if not 0.0 < self.change_prob < 1.0:
-            raise ValueError("change_prob must lie strictly between 0 and 1")
-        for name in ("retreat_coeff", "approach_coeff"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)!r}")
+        if not 0.0 < _real_float(self.change_prob) < 1.0:
+            raise ValueError(f"change_prob must be a real strictly between 0 and 1, got {self.change_prob!r}")
+        _check_real("retreat_coeff", self.retreat_coeff)
+        _check_real("approach_coeff", self.approach_coeff)
         if self.retreat_coeff == 0.0 and self.approach_coeff == 0.0:
             raise ValueError("retreat_coeff and approach_coeff must not both be zero")
-        if not 0 <= self.seed < 2**64:
+        if self.seed >= 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.max_evaluations is not None and self.max_evaluations < self.league_size:
             raise ValueError(f"max_evaluations must be at least league_size ({self.league_size}), got {self.max_evaluations}")
@@ -156,6 +172,7 @@ def generate_league_schedule(num_teams: int) -> LeagueSchedule:
     week, so every unordered pair meets exactly once across the
     ``num_teams - 1`` weeks. Fully deterministic.
     """
+    _check_integer("num_teams", num_teams)
     if num_teams < 2 or num_teams % 2:
         raise ValueError("num_teams must be an even integer >= 2")
     pivot = num_teams - 1

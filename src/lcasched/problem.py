@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
-from .lca import BoxDomain, Objective, _is_integer
+from .lca import BoxDomain, Objective, _check_integer, _check_real
 
 __all__ = [
     "Job",
@@ -28,11 +27,6 @@ __all__ = [
 ]
 
 
-def _is_real(value) -> bool:
-    """An int, a float or a numpy real; not a bool."""
-    return type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
-
-
 @dataclass(frozen=True)
 class Job:
     """Unit of work: arrival time in seconds, length in machine instructions (MI)."""
@@ -42,18 +36,11 @@ class Job:
     length: int
 
     def __post_init__(self):
-        if not _is_integer(self.id):
-            raise ValueError(f"job id must be an integer, got {self.id!r}")
-        if self.id < 0:
-            raise ValueError("job id must be nonnegative")
+        _check_integer("job id", self.id, 0)
         if self.id >= 2**63:  # the scorers sort ids and sum lengths as int64
             raise ValueError("job id must fit a 64-bit integer")
-        if not (_is_real(self.arrival_time) and 0.0 <= self.arrival_time < math.inf):
-            raise ValueError(f"arrival_time must be finite and nonnegative (real, not bool), got {self.arrival_time!r}")
-        if not _is_integer(self.length):
-            raise ValueError(f"length must be an integer number of MI, got {self.length!r}")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        _check_real("arrival_time", self.arrival_time)
+        _check_integer("length", self.length, 1)
         if self.length >= 2**63:
             raise ValueError("job length must fit a 64-bit integer")
 
@@ -65,7 +52,7 @@ class _JobTable(Sequence):
 
     What depends on the jobs alone is built on first use and kept, read-only, as long as the table:
     the replay's ``service_jobs`` column, each ``dispatch_order``, the dispatch's ``float_lengths``, and
-    for batch scoring ``BatchScorer.applies``'s check (``fits_batch``) and the ``rank_objects``."""
+    for batch scoring the batch rule (``fits_batch``) and the ``rank_objects``."""
 
     def __init__(self, ids: np.ndarray, arrivals: np.ndarray, lengths: np.ndarray):
         bad = arrivals[~((0.0 <= arrivals) & (arrivals < math.inf))]  # NaN fails both comparisons
@@ -92,7 +79,8 @@ class _JobTable(Sequence):
 
     @functools.cached_property
     def fits_batch(self) -> bool:
-        """The batch rule of ``BatchScorer``: zero arrivals, and n * total length < 2**63 so its sums fit int64."""
+        """The batch rule, stated here alone: ``make_objective`` scores by ``BatchScorer``'s exact integer
+        sums only with every arrival at zero and n * total length < 2**63, so that the sums fit int64."""
         return not self.arrivals.any() and len(self) * sum(self.length_list) < 2**63
 
     @functools.cached_property
@@ -150,14 +138,6 @@ def _job_columns(jobs: Sequence[Job]) -> _JobTable:
     )
 
 
-def _speed_float(speed) -> float:
-    """``speed`` as the float a ``Vm`` stores: NaN unless it is a real and not a bool, inf past the float range."""
-    try:
-        return float(speed) if _is_real(speed) else math.nan
-    except OverflowError:  # an integer or fraction past the float range
-        return math.inf
-
-
 @dataclass(frozen=True)
 class Vm:
     """Processing resource running at ``speed`` machine instructions per second (MIPS), kept as a float."""
@@ -166,13 +146,8 @@ class Vm:
     speed: float
 
     def __post_init__(self):
-        if not _is_integer(self.id):
-            raise ValueError(f"vm id must be an integer, got {self.id!r}")
-        if self.id < 0:
-            raise ValueError("vm id must be nonnegative")
-        speed = _speed_float(self.speed)
-        if not 0.0 < speed < math.inf:  # the float, as a tiny long double rounds to 0.0
-            raise ValueError(f"speed must be finite and positive (real, not bool), got {self.speed!r}")
+        _check_integer("vm id", self.id, 0)
+        speed = _check_real("speed", self.speed, positive=True)
         object.__setattr__(self, "speed", speed)  # so every layer computes in float64, as the replay does
 
 
@@ -189,8 +164,7 @@ class MetricWeights:
 
     def __post_init__(self):
         for name in ("makespan", "completion", "response"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} weight must be finite and nonnegative, got {getattr(self, name)!r}")
+            _check_real(f"{name} weight", getattr(self, name))
         if self.makespan == 0.0 and self.completion == 0.0 and self.response == 0.0:
             raise ValueError("at least one weight must be positive")
 
@@ -208,8 +182,7 @@ def decode_random_key(x: np.ndarray, num_vms: int) -> np.ndarray:
     A key exactly equal to ``num_vms`` maps to the last VM. Total on finite
     input and deterministic.
     """
-    if num_vms < 1:
-        raise ValueError("num_vms must be positive")
+    _check_integer("num_vms", num_vms, 1)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("keys must be finite")
@@ -224,8 +197,8 @@ def assignment_domain(num_jobs: int, num_vms: int) -> BoxDomain:
 
     The upper edge is reachable only by clamping and decodes to the last VM.
     """
-    if num_jobs < 1 or num_vms < 1:
-        raise ValueError("num_jobs and num_vms must be positive")
+    _check_integer("num_jobs", num_jobs, 1)
+    _check_integer("num_vms", num_vms, 1)
     return BoxDomain.cube(num_jobs, 0.0, float(num_vms))
 
 
@@ -251,6 +224,6 @@ def make_objective(
     from .evaluator import BatchScorer, _ReplayScorer
 
     jobs = _job_columns(jobs)  # unpacked once here; the scorer's layers share the table's columns
-    if BatchScorer.applies(jobs):
+    if jobs.fits_batch:
         return BatchScorer(jobs, vms, weights)
     return _ReplayScorer(jobs, vms, weights)

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lca import _check_integer
-from .problem import Job, Vm, _JobTable, _speed_float
+from .lca import _check_integer, _check_real, _real_float
+from .problem import Job, Vm, _JobTable
 
 __all__ = [
     "CsvFormatError",
@@ -65,28 +65,22 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("job_count", self.job_count)
-        _check_integer("seed", self.seed)
-        if self.job_count < 1:
-            raise ValueError("job_count must be positive")
+        _check_integer("job_count", self.job_count, 1)
+        _check_integer("seed", self.seed, 0)
         _check_length_bounds(self.len_min, self.len_max)
-        if self.arrival_rate is not None and not 0.0 < self.arrival_rate < math.inf:
-            raise ValueError(f"arrival_rate must be finite and positive when set, got {self.arrival_rate!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.arrival_rate is not None:
+            _check_real("arrival_rate", self.arrival_rate, positive=True)
 
 
 def _check_length_bounds(len_min, len_max) -> None:
-    """Reject job length bounds unless both are integers with 0 < len_min <= len_max."""
-    _check_integer("len_min", len_min)
-    _check_integer("len_max", len_max)
-    if not 0 < len_min <= len_max:
-        raise ValueError("need 0 < len_min <= len_max")
+    """Reject job length bounds unless both are integers with 1 <= len_min <= len_max."""
+    _check_integer("len_min", len_min, 1)
+    _check_integer("len_max", len_max, len_min)
 
 
 def _check_speeds(name: str, speeds) -> None:
     """Reject speed choices unless there are some and each is a finite positive real, not a bool, as ``Vm`` checks."""
-    if not speeds or not all(0.0 < _speed_float(s) < math.inf for s in speeds):
+    if len(speeds) == 0 or not all(0.0 < _real_float(s) < math.inf for s in speeds):
         raise ValueError(f"{name} must be non-empty, finite and positive (real, not bool), got {speeds!r}")
 
 
@@ -100,10 +94,8 @@ class FleetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("vm_count", self.vm_count)
-        _check_integer("seed", self.seed)
-        if self.vm_count < 1:
-            raise ValueError("vm_count must be positive")
+        _check_integer("vm_count", self.vm_count, 1)
+        _check_integer("seed", self.seed, 0)
         _check_speeds("speed_choices", self.speed_choices)
         if self.mode not in ("cycle", "sample"):
             raise ValueError(f"unknown fleet mode: {self.mode!r}")

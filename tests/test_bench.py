@@ -11,6 +11,7 @@ import pytest
 import lcasched.bench
 import lcasched.workload
 from lcasched import (
+    BoxDomain,
     ExperimentConfig,
     FleetSpec,
     Job,
@@ -18,8 +19,11 @@ from lcasched import (
     MetricWeights,
     Vm,
     WorkloadSpec,
+    assignment_domain,
     brute_force_optimal,
+    decode_random_key,
     generate_fleet,
+    generate_league_schedule,
     generate_workload,
     read_jobs_csv,
     run_cell,
@@ -370,7 +374,12 @@ COUNT_FIELDS = [
     (ExperimentConfig, "workers"),
     (ExperimentConfig, "vm_counts"),
 ]
-REQUIRED_FIELDS = {WorkloadSpec: dict(job_count=4), FleetSpec: dict(vm_count=2)}
+REQUIRED_FIELDS = {
+    WorkloadSpec: dict(job_count=4),
+    FleetSpec: dict(vm_count=2),
+    Job: dict(id=0, arrival_time=0.0, length=5),
+    Vm: dict(id=0, speed=1.0),
+}
 
 
 @pytest.mark.parametrize("value", [2.5, True])
@@ -379,6 +388,61 @@ def test_count_fields_reject_floats_and_bools_naming_the_field(cls, field, value
     kwargs = dict(REQUIRED_FIELDS.get(cls, {}))
     kwargs[field] = (value,) if field == "vm_counts" else value
     with pytest.raises(ValueError, match=rf"^{field}( entry)? must be an integer, got {re.escape(repr(value))}$"):
+        cls(**kwargs)
+
+
+REAL_FIELDS = [
+    (MetricWeights, "makespan"),
+    (MetricWeights, "completion"),
+    (MetricWeights, "response"),
+    (LcaParams, "change_prob"),
+    (LcaParams, "retreat_coeff"),
+    (LcaParams, "approach_coeff"),
+    (WorkloadSpec, "arrival_rate"),
+    (Job, "arrival_time"),
+    (Vm, "speed"),
+]
+
+
+@pytest.mark.parametrize("value", [True, "1", 10**400], ids=["bool", "str", "past-float"])
+@pytest.mark.parametrize("cls,field", REAL_FIELDS, ids=lambda x: getattr(x, "__name__", x))
+def test_real_fields_reject_bools_strings_and_overflows_naming_the_field(cls, field, value):
+    # an int past the float range is refused when built, not by an OverflowError when computed with
+    kwargs = dict(REQUIRED_FIELDS.get(cls, {}))
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=rf"^{field}( weight)? must be .*, got {re.escape(repr(value))}$"):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("num_vms", lambda v: decode_random_key(np.zeros(3), v)),
+        ("num_jobs", lambda v: assignment_domain(v, 2)),
+        ("num_vms", lambda v: assignment_domain(3, v)),
+        ("dimension", lambda v: BoxDomain.cube(v, 0.0, 1.0)),
+        ("num_teams", generate_league_schedule),
+        ("seed", lambda v: run_cell(tiny_config(), "fcfs", 2, seed=v)),
+    ],
+    ids=["decode_random_key", "assignment_domain-jobs", "assignment_domain-vms", "cube", "league", "run_cell"],
+)
+def test_count_arguments_reject_floats_and_bools_naming_the_argument(name, call, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_fleet_seed_must_be_nonnegative():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        FleetSpec(vm_count=2, seed=-1)
+
+
+@pytest.mark.parametrize("cls,field", [(ExperimentConfig, "vm_speeds"), (FleetSpec, "speed_choices")],
+                         ids=["ExperimentConfig", "FleetSpec"])
+def test_speed_fields_refuse_an_empty_array_naming_the_field(cls, field):
+    kwargs = dict(REQUIRED_FIELDS.get(cls, {}))
+    kwargs[field] = np.array([])
+    with pytest.raises(ValueError, match=rf"^{field} must be non-empty, finite and positive"):
         cls(**kwargs)
 
 
@@ -409,6 +473,9 @@ def test_speed_fields_take_numpy_reals():
     speeds = (np.float32(500.0), np.int64(1000), 2500)
     assert ExperimentConfig(vm_speeds=speeds).vm_speeds == (500.0, 1000.0, 2500.0)
     assert [vm.speed for vm in generate_fleet(FleetSpec(vm_count=3, speed_choices=speeds))] == [500.0, 1000.0, 2500.0]
+    speeds = np.array([1000.0, 2000.0])  # an array has no truth value: its length says whether it is empty
+    assert ExperimentConfig(vm_speeds=speeds).vm_speeds == (1000.0, 2000.0)
+    assert [vm.speed for vm in generate_fleet(FleetSpec(vm_count=2, speed_choices=speeds))] == [1000.0, 2000.0]
 
 
 def test_count_fields_take_numpy_integers():

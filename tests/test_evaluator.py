@@ -15,6 +15,7 @@ from lcasched import (
     evaluate,
     fcfs_schedule,
     ljf_schedule,
+    make_objective,
 )
 from lcasched import decode_random_key
 from lcasched.evaluator import BatchDraft, BatchScorer, _ReplayScorer, _segmented_cummax
@@ -314,23 +315,25 @@ class TestBatchScorer:
             scorer.metrics(np.array([0, 1, 2]))
 
     def test_applies_only_to_batch_instances_that_fit(self):
-        assert BatchScorer.applies([Job(0, 0.0, 10), Job(1, 0.0, 20)])
-        assert not BatchScorer.applies([Job(0, 0.0, 10), Job(1, 0.5, 20)])
-        assert not BatchScorer.applies([Job(0, 0.0, 2**62), Job(1, 0.0, 1)])
-        assert not BatchScorer.applies([])
+        vms = [Vm(0, 1.0)]
+        assert type(make_objective([Job(0, 0.0, 10), Job(1, 0.0, 20)], vms)) is BatchScorer
+        assert type(make_objective([Job(0, 0.0, 10), Job(1, 0.5, 20)], vms)) is _ReplayScorer
+        assert type(make_objective([Job(0, 0.0, 2**62), Job(1, 0.0, 1)], vms)) is _ReplayScorer
+        with pytest.raises(ValueError, match="^jobs and vms must be non-empty$"):
+            make_objective([], vms)
         with pytest.raises(ValueError):
-            BatchScorer([Job(0, 1.0, 10)], [Vm(0, 1.0)])
+            BatchScorer([Job(0, 1.0, 10)], vms)
         with pytest.raises(ValueError):
             BatchScorer([Job(0, 0.0, 10)], [])
 
     def test_applies_at_the_int64_edge(self):
         # n times the total length must stay strictly below 2**63, also once the table keeps the check
         fits, too_big = [Job(0, 0.0, 2**63 - 1)], [Job(0, 0.0, 2**61), Job(1, 0.0, 2**61)]
-        assert BatchScorer.applies(fits) and not BatchScorer.applies(too_big)
-        for jobs, expected in ((fits, True), (too_big, False)):
+        for jobs, expected, scorer in ((fits, True, BatchScorer), (too_big, False, _ReplayScorer)):
+            assert type(make_objective(jobs, [Vm(0, 1.0)])) is scorer
             table = _job_columns(jobs)
-            assert table.fits_batch is expected  # cached now
-            assert BatchScorer.applies(table) is expected
+            assert table.fits_batch is expected
+            assert type(make_objective(table, [Vm(0, 1.0)])) is scorer
         BatchScorer(fits, [Vm(0, 1.0)])
         with pytest.raises(ValueError, match="n \\* total length < 2\\*\\*63"):
             BatchScorer(_job_columns(too_big), [Vm(0, 1.0)])
