@@ -1,18 +1,17 @@
 """League championship scheduling benchmark for a simulated IaaS cloud.
 
 The pieces: a generic league championship optimizer over box domains
-(``lca``), the job/VM problem model with its random-key encoding
-(``problem``), the non-preemptive schedule evaluator plus an exhaustive
-oracle (``evaluator``), FCFS and LJF dispatch baselines (``baselines``),
-synthetic workload and fleet generation with CSV traces (``workload``),
-and the reproducible benchmark harness (``bench``) behind the ``lcasched``
-command line.
+(``lca``), the scheduling problem with its random-key encoding, its
+non-preemptive schedule replay, the objectives and an exhaustive oracle
+(``problem``), FCFS and LJF dispatch baselines (``baselines``), synthetic
+workload and fleet generation with CSV traces (``workload``), and the
+reproducible benchmark harness (``bench``) behind the ``lcasched`` command
+line.
 """
 
-from . import baselines, bench, evaluator, lca, problem, workload
+from . import baselines, bench, lca, problem, workload
 from .baselines import *
 from .bench import *
-from .evaluator import *
 from .lca import *
 from .problem import *
 from .workload import *
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     *lca.__all__,
     *problem.__all__,
-    *evaluator.__all__,
     *baselines.__all__,
     *workload.__all__,
     *bench.__all__,

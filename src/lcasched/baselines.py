@@ -7,7 +7,7 @@ in ``last-arrival`` mode (the paper's "Last Job First"). The VMs sit in a
 binary heap of ``(ready_time, vm_id)`` tuples, so a dispatch costs O(log m)
 instead of a scan of all m queues, and tuple order sends ties to the lowest
 VM id. The returned assignment is aligned with the input job list; service
-order within a VM is decided by the evaluator, not by dispatch order.
+order within a VM is decided by the replay, not by dispatch order.
 
 The heap is seeded: every VM is free at 0.0, and a job keeps its VM busy
 past 0.0 (a length is at least 1 and a speed is finite), so job k < m of
@@ -16,7 +16,7 @@ heapified; they are distinct tuples, so ``heap[0]`` is the same at every
 later step whatever the layout, and the assignment is the unseeded one.
 
 The job columns and both dispatch orders come from ``problem._job_columns``,
-shared with the evaluator, which reads a job table as it is. A table sorts
+shared with the replay, which reads a job table as it is. A table sorts
 each order once, on first use, and keeps it as a tuple, so the cells of one
 table do not sort again. It also keeps its lengths as floats, cast as numpy
 casts them, so each step divides a float by a float speed.

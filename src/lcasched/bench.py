@@ -41,9 +41,10 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import LJF_MODES, fcfs_schedule, ljf_schedule
-from .evaluator import ScheduleSimulator
 from .lca import LcaParams, _check_integer, optimize
-from .problem import MetricWeights, Vm, _job_columns, _JobTable, assignment_domain, decode_random_key, make_objective
+from .problem import (
+    MetricWeights, ScheduleSimulator, Vm, _job_columns, _JobTable, assignment_domain, decode_random_key, make_objective
+)
 from .workload import (
     DEFAULT_LEN_MAX,
     DEFAULT_LEN_MIN,
@@ -118,8 +119,7 @@ class ExperimentConfig:
         if self.ljf_mode not in LJF_MODES:
             raise ValueError(f"ljf_mode must be one of {LJF_MODES}")
         _check_length_bounds(self.len_min, self.len_max)
-        _check_speeds("vm_speeds", self.vm_speeds)
-        object.__setattr__(self, "vm_speeds", tuple(map(float, self.vm_speeds)))  # hashable, so fleets cache by spec
+        object.__setattr__(self, "vm_speeds", _check_speeds("vm_speeds", self.vm_speeds))
 
 
 @dataclass(frozen=True)

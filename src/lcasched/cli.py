@@ -21,9 +21,8 @@ from .bench import (
     write_results_csv,
 )
 from .baselines import LJF_MODES
-from .evaluator import brute_force_optimal
 from .lca import LcaParams, _check_integer
-from .problem import MetricWeights
+from .problem import MetricWeights, brute_force_optimal
 from .workload import (
     DEFAULT_LEN_MAX,
     DEFAULT_LEN_MIN,

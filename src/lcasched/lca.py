@@ -406,6 +406,9 @@ def optimize(objective: Objective, domain: BoxDomain, params: LcaParams) -> Opti
     n = domain.dimension
     budget = math.inf if params.max_evaluations is None else params.max_evaluations
 
+    reach = max(params.retreat_coeff, params.approach_coeff) * float(np.max(domain.upper - domain.lower))
+    if not math.isfinite(reach):  # with it finite no pull coeff * (a - b) is infinite, so no key is NaN
+        raise ValueError("retreat_coeff and approach_coeff times the widest span of the domain must be finite")
     rng = np.random.default_rng(params.seed)
     formations = domain.lower + (domain.upper - domain.lower) * rng.random((league, n))  # = rng.uniform, bit for bit
     rng = _Doubles(rng)

@@ -73,15 +73,19 @@ class WorkloadSpec:
 
 
 def _check_length_bounds(len_min, len_max) -> None:
-    """Reject job length bounds unless both are integers with 1 <= len_min <= len_max."""
+    """Reject job length bounds unless both are integers with 1 <= len_min <= len_max < 2**63, as ``Job`` checks."""
     _check_integer("len_min", len_min, 1)
     _check_integer("len_max", len_max, len_min)
+    if len_max >= 2**63:
+        raise ValueError("len_max must fit a 64-bit integer")
 
 
-def _check_speeds(name: str, speeds) -> None:
-    """Reject speed choices unless there are some and each is a finite positive real, not a bool, as ``Vm`` checks."""
-    if len(speeds) == 0 or not all(0.0 < _real_float(s) < math.inf for s in speeds):
+def _check_speeds(name: str, speeds) -> tuple[float, ...]:
+    """The speed choices as the floats ``Vm`` stores; there must be some, each a finite positive real, not a bool."""
+    floats = tuple(map(_real_float, speeds))
+    if not floats or not all(0.0 < s < math.inf for s in floats):
         raise ValueError(f"{name} must be non-empty, finite and positive (real, not bool), got {speeds!r}")
+    return floats
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class FleetSpec:
     def __post_init__(self):
         _check_integer("vm_count", self.vm_count, 1)
         _check_integer("seed", self.seed, 0)
-        _check_speeds("speed_choices", self.speed_choices)
+        object.__setattr__(self, "speed_choices", _check_speeds("speed_choices", self.speed_choices))
         if self.mode not in ("cycle", "sample"):
             raise ValueError(f"unknown fleet mode: {self.mode!r}")
 

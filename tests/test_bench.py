@@ -358,6 +358,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
             ExperimentConfig(**bounds)
 
+    def test_len_max_must_fit_int64(self):
+        with pytest.raises(ValueError, match="^len_max must fit a 64-bit integer$"):
+            ExperimentConfig(len_max=2**63)
+        assert ExperimentConfig(len_max=2**63 - 1).len_max == 2**63 - 1
+
 
 COUNT_FIELDS = [
     (LcaParams, "league_size"),
@@ -476,6 +481,14 @@ def test_speed_fields_take_numpy_reals():
     speeds = np.array([1000.0, 2000.0])  # an array has no truth value: its length says whether it is empty
     assert ExperimentConfig(vm_speeds=speeds).vm_speeds == (1000.0, 2000.0)
     assert [vm.speed for vm in generate_fleet(FleetSpec(vm_count=2, speed_choices=speeds))] == [1000.0, 2000.0]
+
+
+def test_fleet_spec_keeps_its_checked_speeds_so_fleets_cache_by_spec():
+    spec = FleetSpec(2, speed_choices=np.array([1000.0, 2000.0]))
+    same = FleetSpec(2, speed_choices=(1000.0, 2000.0))
+    assert spec.speed_choices == (1000.0, 2000.0)
+    assert hash(spec) == hash(same) and spec == same
+    assert lcasched.bench._fleet(spec) is lcasched.bench._fleet(same)
 
 
 def test_count_fields_take_numpy_integers():
@@ -631,6 +644,22 @@ class TestCli:
         rc = main(["run", "--algorithm", "lca", "--num-vms", "3", "--num-jobs", "20", flag, value, "--no-timing"])
         assert rc == 2
         assert f"error: {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--algorithm", "fcfs", "--num-vms", "2", "--num-jobs", "3", "--len-max", str(2**63)],
+             "error: len_max must fit a 64-bit integer\n"),
+            (["--algorithm", "lca", "--num-vms", "5", "--num-jobs", "40", "--league-size", "4", "--max-evals", "400",
+              "--psi1", "1e308", "--psi2", "1e308"],
+             "error: retreat_coeff and approach_coeff times the widest span of the domain must be finite\n"),
+        ],
+        ids=["len-max", "psi"],
+    )
+    def test_run_past_a_bound_exits_2_naming_the_field(self, capsys, argv, message):
+        assert main(["run", *argv, "--no-timing"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
 
     @pytest.mark.parametrize(
         "argv,field",

@@ -18,8 +18,7 @@ from lcasched import (
     make_objective,
 )
 from lcasched import decode_random_key
-from lcasched.evaluator import BatchDraft, BatchScorer, _ReplayScorer, _segmented_cummax
-from lcasched.problem import _job_columns
+from lcasched.problem import BatchDraft, BatchScorer, _ReplayScorer, _job_columns, _segmented_cummax
 
 from conftest import naive_metrics, naive_timeline, random_instance
 

@@ -367,6 +367,23 @@ def test_optimize_drafts_with_the_public_operators(num_slots, change_prob):
         assert call.tobytes() == x.tobytes()
 
 
+class TestCoefficientReach:
+    """A pull coeff * (a - b) spans at most coeff times the domain's widest span: past the float
+    range two pulls could sum to NaN, so such a run is refused before the league is drawn."""
+
+    def test_overflowing_pull_is_refused_naming_both_coefficients(self):
+        objective = CountingObjective(sphere)
+        params = LcaParams(league_size=4, seasons=50, seed=1, retreat_coeff=1e308, approach_coeff=1e308)
+        with pytest.raises(ValueError, match="^retreat_coeff and approach_coeff times the widest span"):
+            optimize(objective, BoxDomain.cube(20, -50.0, 80.0), params)
+        assert objective.calls == 0
+
+    def test_large_finite_reach_still_runs(self):
+        params = LcaParams(league_size=4, seasons=50, seed=1, retreat_coeff=1e306, approach_coeff=1e306)
+        result = optimize(sphere, BoxDomain.cube(20, -50.0, 80.0), params)
+        assert np.isfinite(result.best_fitness)
+
+
 class TestNonFiniteFitness:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejected_at_first_evaluation(self, bad):

@@ -95,6 +95,12 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
             WorkloadSpec(job_count=20, **bounds)
 
+    def test_len_max_must_fit_int64_as_a_job_length_must(self):
+        with pytest.raises(ValueError, match="^len_max must fit a 64-bit integer$"):
+            WorkloadSpec(job_count=3, len_min=2**62, len_max=2**63)
+        jobs = generate_workload(WorkloadSpec(job_count=3, len_min=2**62, len_max=2**63 - 1))
+        assert all(2**62 <= job.length < 2**63 for job in jobs)
+
     def test_values_are_python_numbers(self):
         jobs = generate_workload(WorkloadSpec(job_count=50, arrival_rate=2.0, seed=8))
         assert all(type(j.arrival_time) is float and type(j.length) is int for j in jobs)
