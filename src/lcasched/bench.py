@@ -51,8 +51,8 @@ from .workload import (
     DEFAULT_SPEED_CHOICES,
     FleetSpec,
     WorkloadSpec,
-    _check_length_bounds,
     _check_speeds,
+    _check_workload_bounds,
     _drawn_jobs,
     generate_fleet,
     read_jobs_csv,
@@ -118,7 +118,7 @@ class ExperimentConfig:
             raise ValueError("algorithms must not repeat")
         if self.ljf_mode not in LJF_MODES:
             raise ValueError(f"ljf_mode must be one of {LJF_MODES}")
-        _check_length_bounds(self.len_min, self.len_max)
+        _check_workload_bounds(self.len_min, self.len_max, self.arrival_rate)
         object.__setattr__(self, "vm_speeds", _check_speeds("vm_speeds", self.vm_speeds))
 
 

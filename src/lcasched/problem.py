@@ -43,7 +43,6 @@ __all__ = [
     "JobTimeline",
     "ScheduleMetrics",
     "ScheduleSimulator",
-    "evaluate",
     "make_objective",
     "brute_force_optimal",
 ]
@@ -286,17 +285,6 @@ class ScheduleSimulator:
         n, vm_key, complex_ = self.num_jobs, self._vm_key, np.complex128
         return np.empty(n, vm_key), np.empty(n, complex_), np.empty(n, complex_), np.empty(n), np.empty(n), np.empty(n)
 
-    def _replay(self, assignment: np.ndarray):
-        """Replay ``assignment`` once it is checked to hold one VM index per job."""
-        assignment = np.asarray(assignment)
-        if assignment.shape != (self.num_jobs,):
-            raise ValueError("assignment must hold one VM index per job")
-        if not np.issubdtype(assignment.dtype, np.integer):
-            raise ValueError("assignment must hold integer VM indices")
-        if int(assignment.min()) < 0 or int(assignment.max()) >= self.num_vms:
-            raise ValueError("assignment refers to a VM that does not exist")
-        return self._replay_sorted(assignment[self._service_order].astype(self._vm_key))
-
     def _replay_sorted(self, vm_sorted: np.ndarray, weights: MetricWeights | None = None):
         """Replay from each job's VM in service order, as ``_vm_key`` integers
         already known to lie in [0, num_vms), into the work arrays, leaving the
@@ -328,12 +316,23 @@ class ScheduleSimulator:
         return makespan, completion, response
 
     def metrics(self, assignment: np.ndarray) -> ScheduleMetrics:
-        """Score one assignment without materializing the timeline."""
-        return ScheduleMetrics(*self._replay(assignment))
+        """Replay ``assignment`` once it is checked to hold one VM index per job, without materializing the
+        timeline; raise ``ValueError`` unless every metric is finite."""
+        assignment = np.asarray(assignment)
+        if assignment.shape != (self.num_jobs,):
+            raise ValueError("assignment must hold one VM index per job")
+        if not np.issubdtype(assignment.dtype, np.integer):
+            raise ValueError("assignment must hold integer VM indices")
+        if int(assignment.min()) < 0 or int(assignment.max()) >= self.num_vms:
+            raise ValueError("assignment refers to a VM that does not exist")
+        values = self._replay_sorted(assignment[self._service_order].astype(self._vm_key))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"the schedule's times overflow float64: makespan, completion and response are {values}")
+        return ScheduleMetrics(*values)
 
     def run(self, assignment: np.ndarray) -> tuple[JobTimeline, ScheduleMetrics]:
-        """Replay one assignment, returning the per-job timeline and metrics."""
-        metrics = ScheduleMetrics(*self._replay(assignment))
+        """Replay one assignment, checked as ``metrics`` checks it, returning the per-job timeline and metrics."""
+        metrics = self.metrics(assignment)
         _, _, _, finishes, starts, _ = self._work
         positions = self._service_order[self._group]
         start_times = np.empty(self.num_jobs, dtype=float)
@@ -359,13 +358,6 @@ def _segmented_cummax(values: np.ndarray, queue: np.ndarray, keys: np.ndarray) -
     keys.real = queue
     keys.imag = values
     return np.maximum.accumulate(keys, out=keys).imag
-
-
-def evaluate(
-    jobs: Sequence[Job], vms: Sequence[Vm], assignment: np.ndarray
-) -> tuple[JobTimeline, ScheduleMetrics]:
-    """Replay ``assignment`` for (jobs, vms); see ``ScheduleSimulator``."""
-    return ScheduleSimulator(jobs, vms).run(assignment)
 
 
 class _ReplayScorer(ScheduleSimulator):

@@ -67,17 +67,18 @@ class WorkloadSpec:
     def __post_init__(self):
         _check_integer("job_count", self.job_count, 1)
         _check_integer("seed", self.seed, 0)
-        _check_length_bounds(self.len_min, self.len_max)
-        if self.arrival_rate is not None:
-            _check_real("arrival_rate", self.arrival_rate, positive=True)
+        _check_workload_bounds(self.len_min, self.len_max, self.arrival_rate)
 
 
-def _check_length_bounds(len_min, len_max) -> None:
-    """Reject job length bounds unless both are integers with 1 <= len_min <= len_max < 2**63, as ``Job`` checks."""
+def _check_workload_bounds(len_min, len_max, arrival_rate) -> None:
+    """Reject job length bounds unless both are integers with 1 <= len_min <= len_max < 2**63, as ``Job`` checks,
+    and an arrival rate unless it is None (batch) or a finite positive real."""
     _check_integer("len_min", len_min, 1)
     _check_integer("len_max", len_max, len_min)
     if len_max >= 2**63:
         raise ValueError("len_max must fit a 64-bit integer")
+    if arrival_rate is not None:
+        _check_real("arrival_rate", arrival_rate, positive=True)
 
 
 def _check_speeds(name: str, speeds) -> tuple[float, ...]:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,23 @@ def naive_metrics(jobs, vms, assignment):
         sum(finishes) / len(jobs),
         sum(waits) / len(jobs),
     )
+
+
+def exact_metrics(jobs, vms, assignment):
+    """Makespan, average completion and average response as exact ``Fraction``s: a per-queue Lindley
+    replay (start = max(VM ready, arrival)) in (arrival, id) order, with no rounding at any step."""
+    order = sorted(range(len(jobs)), key=lambda p: (jobs[p].arrival_time, jobs[p].id))
+    ready = [Fraction(0)] * len(vms)
+    last = total_finish = total_wait = Fraction(0)
+    for p in order:
+        vm, arrival = int(assignment[p]), Fraction(jobs[p].arrival_time)
+        start = max(ready[vm], arrival)
+        ready[vm] = finish = start + Fraction(jobs[p].length) / Fraction(vms[vm].speed)
+        last = max(last, finish)
+        total_finish += finish
+        total_wait += start - arrival
+    first_arrival = min(Fraction(j.arrival_time) for j in jobs)
+    return last - first_arrival, total_finish / len(jobs), total_wait / len(jobs)
 
 
 def swot_formation(

@@ -16,10 +16,10 @@ from lcasched import (
     Job,
     LcaParams,
     MetricWeights,
+    ScheduleSimulator,
     Vm,
     assignment_domain,
     brute_force_optimal,
-    evaluate,
     fcfs_schedule,
     generate_league_schedule,
     ljf_schedule,
@@ -128,7 +128,7 @@ def test_ac3_oracle_gap():
         _, optimal_metrics = brute_force_optimal(jobs, vms, weights)
         optimal = weights.score(optimal_metrics)
         for heuristic in (fcfs_schedule, ljf_schedule):
-            _, metrics = evaluate(jobs, vms, heuristic(jobs, vms))
+            _, metrics = ScheduleSimulator(jobs, vms).run(heuristic(jobs, vms))
             assert weights.score(metrics) >= optimal - 1e-9 * optimal
         budget = 10 * m**n
         league = 10
@@ -202,7 +202,7 @@ def test_ac4_invariant_suites():
     for _ in range(10_000):
         jobs, vms = random_instance(rng, max_jobs=6, max_vms=3, staggered=bool(rng.integers(2)))
         assignment = rng.integers(0, len(vms), size=len(jobs))
-        timeline, _ = evaluate(jobs, vms, assignment)
+        timeline, _ = ScheduleSimulator(jobs, vms).run(assignment)
         for vm_index in range(len(vms)):
             members = [p for p in range(len(jobs)) if assignment[p] == vm_index]
             if not members:

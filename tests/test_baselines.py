@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcasched import Job, Vm, evaluate, fcfs_schedule, ljf_schedule
+from lcasched import Job, ScheduleSimulator, Vm, fcfs_schedule, ljf_schedule
 
 from conftest import random_instance
 
@@ -13,7 +13,7 @@ class TestFcfs:
         jobs, vms = three_jobs_two_vms
         assignment = fcfs_schedule(jobs, vms)
         assert assignment.tolist() == [0, 1, 0]
-        _, metrics = evaluate(jobs, vms, assignment)
+        _, metrics = ScheduleSimulator(jobs, vms).run(assignment)
         assert metrics.makespan == 40.0
 
     def test_single_vm_takes_everything(self):
@@ -59,7 +59,7 @@ class TestLjf:
         jobs, vms = three_jobs_two_vms
         assignment = ljf_schedule(jobs, vms)
         assert assignment.tolist() == [1, 1, 0]
-        _, metrics = evaluate(jobs, vms, assignment)
+        _, metrics = ScheduleSimulator(jobs, vms).run(assignment)
         assert metrics.makespan == 30.0
         assert metrics.avg_completion == pytest.approx(50.0 / 3.0, rel=1e-15)
         assert metrics.avg_response == pytest.approx(5.0 / 3.0, rel=1e-15)

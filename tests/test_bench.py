@@ -358,6 +358,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
             ExperimentConfig(**bounds)
 
+    @pytest.mark.parametrize("jobs_file", [None, "jobs.csv"])
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, float("nan"), True], ids=["negative", "zero", "nan", "bool"])
+    def test_arrival_rate_is_refused_when_built(self, rate, jobs_file):
+        # as WorkloadSpec refuses it, before any cell builds a spec, also when a jobs file makes it unused
+        with pytest.raises(ValueError, match="^arrival_rate must be finite and positive"):
+            ExperimentConfig(jobs_file=jobs_file, arrival_rate=rate)
+
     def test_len_max_must_fit_int64(self):
         with pytest.raises(ValueError, match="^len_max must fit a 64-bit integer$"):
             ExperimentConfig(len_max=2**63)
@@ -606,6 +613,23 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_overflowing_schedule_exits_2_writing_no_row(self, tmp_path, capsys):
+        # every argument is accepted, but the finish times overflow float64 on a slow VM
+        jobs_file = tmp_path / "jobs.csv"
+        jobs_file.write_text("job_id,arrival_time,length_mi\n0,1e308,1000000\n1,1.7e308,5\n")
+        out = tmp_path / "r.csv"
+        argv = ["run", "--algorithm", "fcfs", "--num-vms", "1", "--vm-speeds", "0.001", "--jobs-file", str(jobs_file)]
+        with np.errstate(over="ignore"):
+            rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: the schedule's times overflow float64")
+        assert not out.exists()
+
+    def test_bad_arrival_rate_exits_2_before_the_output_check(self, tmp_path, capsys):
+        rc = main(["sweep", "--arrival-rate", "-1", "--out", str(tmp_path / "missing" / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: arrival_rate must be finite and positive (real, not bool), got -1.0\n"
 
     def test_oracle_capacity_exits_2(self):
         assert main(["oracle", "--num-jobs", "30", "--num-vms", "3"]) == 2

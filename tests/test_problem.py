@@ -12,7 +12,6 @@ from lcasched import (
     Vm,
     assignment_domain,
     decode_random_key,
-    evaluate,
     fcfs_schedule,
     generate_workload,
     ljf_schedule,
@@ -76,7 +75,7 @@ class TestMakeObjective:
         jobs, vms = three_jobs_two_vms
         objective = make_objective(jobs, vms, MetricWeights(makespan=1.0, completion=0.0, response=0.0))
         x = np.array([0.2, 1.7, 0.9])
-        _, metrics = evaluate(jobs, vms, decode_random_key(x, 2))
+        _, metrics = ScheduleSimulator(jobs, vms).run(decode_random_key(x, 2))
         assert objective(x) == metrics.makespan
 
     def test_completion_hand_value(self):
