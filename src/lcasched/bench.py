@@ -109,6 +109,8 @@ class ExperimentConfig:
             _check_integer("vm_counts entry", count, 1)
         if not self.vm_counts:
             raise ValueError("vm_counts must be non-empty")
+        if len(set(self.vm_counts)) != len(self.vm_counts):
+            raise ValueError("vm_counts must not repeat")
         if not self.algorithms:
             raise ValueError("algorithms must be non-empty")
         unknown = set(self.algorithms) - set(ALGORITHMS)

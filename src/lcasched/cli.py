@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .bench import (
     ALGORITHMS,
     DEFAULT_VM_COUNTS,
@@ -261,7 +263,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # every stage refuses a non-finite value itself
+            return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,9 +13,9 @@ arrival, average completion the mean finish time, and average response
 the mean wait between arrival and service start.
 
 ``make_objective`` returns a ``ScheduleSimulator`` that scores random-key
-vectors: a ``BatchScorer`` by exact integer sums on batch instances, else
-a ``_ReplayScorer`` by replay. Their drafts (``BatchDraft``,
-``_ReplayDraft``) rescore the few keys the optimizer changed.
+vectors: its subclass ``BatchScorer`` by exact integer sums on batch
+instances, else a plain ``ScheduleSimulator`` by replay. Their drafts
+(``BatchDraft``, ``_ReplayDraft``) rescore the few keys the optimizer changed.
 ``brute_force_optimal`` enumerates every assignment of a tiny instance as
 an exact reference.
 """
@@ -263,11 +263,16 @@ class ScheduleSimulator:
     on the first replay of any simulator on that table) and writes every
     step into per-simulator work arrays (``out=``), built on the first
     replay. So a simulator is not for concurrent use, and ``run`` returns
-    copies. A staggered draft that moves no job is not replayed
-    (``_ReplayDraft``).
+    copies. ``metrics`` and ``run`` ignore ``weights``.
+
+    A call is the weighted objective of a staggered instance: it decodes
+    random keys in service order, with no assignment check (``_vm_keys``),
+    and replays them (``_score``, which ``BatchScorer`` overrides), skipping
+    metrics of zero weight. A draft (``_ReplayDraft``) equals a call bit for
+    bit, and one that moves no job is not replayed.
     """
 
-    def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm]):
+    def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
         if not jobs or not vms:
             raise ValueError("jobs and vms must be non-empty")
         self.num_jobs = len(jobs)
@@ -277,6 +282,7 @@ class ScheduleSimulator:
         self.speeds = np.array([v.speed for v in vms], dtype=float)
         self._min_arrival = float(columns.arrivals.min())
         self._vm_key = np.min_scalar_type(self.num_vms - 1)
+        self.weights = weights
 
     @functools.cached_property
     def _work(self) -> tuple[np.ndarray, ...]:
@@ -346,35 +352,6 @@ class ScheduleSimulator:
         )
         return timeline, metrics
 
-
-def _segmented_cummax(values: np.ndarray, queue: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Running maximum restarted wherever the nondecreasing ``queue`` grows,
-    built in the complex work array ``keys`` and returned as a view of it.
-
-    Keys pair the queue number (real part) with the value (imaginary part);
-    the lexicographic running maximum of the keys never carries a value
-    across a queue head.
-    """
-    keys.real = queue
-    keys.imag = values
-    return np.maximum.accumulate(keys, out=keys).imag
-
-
-class _ReplayScorer(ScheduleSimulator):
-    """Weighted objective of a staggered instance, over random-key vectors.
-
-    A call decodes the keys in the replay's service order, with no
-    assignment check or gather (``_vm_keys``), and replays them (``_score``,
-    which ``BatchScorer`` overrides); metrics of zero weight are not
-    computed. ``delta_scorer`` keeps one formation's VM keys so that a draft
-    patches only the moved jobs' keys and reruns the same replay, so a
-    draft equals a call bit for bit.
-    """
-
-    def __init__(self, jobs: Sequence[Job], vms: Sequence[Vm], weights: MetricWeights = MetricWeights()):
-        super().__init__(jobs, vms)
-        self.weights = weights
-
     def _vm_keys(self, x: np.ndarray) -> np.ndarray:
         """Each job's VM in service order, as the replay's narrow VM keys."""
         x = np.asarray(x)
@@ -401,11 +378,24 @@ class _ReplayScorer(ScheduleSimulator):
         return _ReplayDraft(self, self._vm_keys(x))
 
 
+def _segmented_cummax(values: np.ndarray, queue: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Running maximum restarted wherever the nondecreasing ``queue`` grows,
+    built in the complex work array ``keys`` and returned as a view of it.
+
+    Keys pair the queue number (real part) with the value (imaginary part);
+    the lexicographic running maximum of the keys never carries a value
+    across a queue head.
+    """
+    keys.real = queue
+    keys.imag = values
+    return np.maximum.accumulate(keys, out=keys).imag
+
+
 class _ReplayDraft(_CopyDraft):
     """One formation's service-order VM keys; a draft puts the moved jobs on
     their new VMs in a copy of them and replays it, unless no job moved."""
 
-    def __init__(self, scorer: _ReplayScorer, vm_sorted: np.ndarray):
+    def __init__(self, scorer: ScheduleSimulator, vm_sorted: np.ndarray):
         self._place, self._top = scorer._columns.place, scorer.num_vms - 1
         super().__init__(scorer._score, vm_sorted)
 
@@ -428,7 +418,7 @@ class _ReplayDraft(_CopyDraft):
         return self._pending[1]
 
 
-class BatchScorer(_ReplayScorer):
+class BatchScorer(ScheduleSimulator):
     """Exact weighted objective of a batch instance, over random-key vectors.
 
     With every arrival at zero, VM v serves its jobs in id order, so its
@@ -622,17 +612,17 @@ def make_objective(
     average response time. The jobs are unpacked into a table up front.
 
     Both objectives are ``ScheduleSimulator``s that decode keys into
-    service order, and the batch one scores by exact integer sums: batch
-    instances (every arrival at zero) get a ``BatchScorer``, other
-    instances a scorer that replays the schedule. Both offer ``delta_scorer``:
-    ``lca.optimize`` uses it to rescore a draft from the few keys it
-    changed, giving the same float as a call. A batch draft rescores the
-    moved jobs alone; a staggered one patches their VM keys and replays.
+    service order: batch instances (every arrival at zero) get a
+    ``BatchScorer``, which scores by exact integer sums, other instances a
+    plain ``ScheduleSimulator``, which replays the schedule. Both offer
+    ``delta_scorer``: ``lca.optimize`` uses it to rescore a draft from the
+    few keys it changed, giving the same float as a call. A batch draft
+    rescores the moved jobs alone; a staggered one patches and replays.
     """
     jobs = _job_columns(jobs)  # unpacked once here; the scorer's layers share the table's columns
     if jobs.fits_batch:
         return BatchScorer(jobs, vms, weights)
-    return _ReplayScorer(jobs, vms, weights)
+    return ScheduleSimulator(jobs, vms, weights)
 
 
 BRUTE_FORCE_CAP = 10_000_000

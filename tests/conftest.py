@@ -55,6 +55,31 @@ def exact_metrics(jobs, vms, assignment):
     return last - first_arrival, total_finish / len(jobs), total_wait / len(jobs)
 
 
+def reference_greedy(jobs, vms, dispatch_order):
+    """Naive dispatcher: each job in turn goes to the VM that is ready
+    earliest (ties to the lowest id), which then runs it from
+    max(ready, arrival) for length / speed seconds."""
+    ready = [0.0] * len(vms)
+    assignment = [None] * len(jobs)
+    for p in dispatch_order:
+        vm = min(range(len(vms)), key=lambda v: (ready[v], v))
+        ready[vm] = max(ready[vm], jobs[p].arrival_time) + jobs[p].length / vms[vm].speed
+        assignment[p] = vm
+    return assignment
+
+
+def fcfs_order(jobs):
+    return sorted(range(len(jobs)), key=lambda p: (jobs[p].arrival_time, jobs[p].id))
+
+
+def ljf_order(jobs):
+    return sorted(range(len(jobs)), key=lambda p: (-jobs[p].length, jobs[p].id))
+
+
+def last_arrival_order(jobs):
+    return sorted(range(len(jobs)), key=lambda p: (-jobs[p].arrival_time, jobs[p].id))
+
+
 def swot_formation(
     best,
     current,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lcasched import Job, ScheduleSimulator, Vm, fcfs_schedule, ljf_schedule
 
-from conftest import random_instance
+from conftest import fcfs_order, last_arrival_order, ljf_order, random_instance, reference_greedy
 
 
 class TestFcfs:
@@ -113,19 +113,6 @@ class TestCommonProperties:
             assert np.array_equal(first, scheduler(jobs, vms))
 
 
-def reference_greedy(jobs, vms, dispatch_order):
-    """Naive dispatcher: each job in turn goes to the VM that is ready
-    earliest (ties to the lowest id), which then runs it from
-    max(ready, arrival) for length / speed seconds."""
-    ready = [0.0] * len(vms)
-    assignment = [None] * len(jobs)
-    for p in dispatch_order:
-        vm = min(range(len(vms)), key=lambda v: (ready[v], v))
-        ready[vm] = max(ready[vm], jobs[p].arrival_time) + jobs[p].length / vms[vm].speed
-        assignment[p] = vm
-    return assignment
-
-
 @st.composite
 def staggered_instances(draw):
     """Up to 40 jobs with ids listed out of order and arrivals drawn from a
@@ -152,18 +139,6 @@ def batch_instances(draw):
     speed = draw(st.sampled_from([0.5, 1.0, 3.7]))
     jobs = [Job(i, 0.0, n) for i, n in zip(ids, lengths)]
     return jobs, [Vm(v, speed) for v in range(draw(st.integers(1, 300)))]
-
-
-def fcfs_order(jobs):
-    return sorted(range(len(jobs)), key=lambda p: (jobs[p].arrival_time, jobs[p].id))
-
-
-def ljf_order(jobs):
-    return sorted(range(len(jobs)), key=lambda p: (-jobs[p].length, jobs[p].id))
-
-
-def last_arrival_order(jobs):
-    return sorted(range(len(jobs)), key=lambda p: (-jobs[p].arrival_time, jobs[p].id))
 
 
 def ljf_last_arrival(jobs, vms):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -344,6 +345,7 @@ class TestConfigValidation:
             dict(vm_speeds=(0.0,)),
             dict(vm_speeds=(np.inf,)),
             dict(vm_speeds=(1000.0, np.nan)),
+            dict(vm_counts=(2, 2)),
         ],
     )
     def test_invalid(self, kwargs):
@@ -625,6 +627,32 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: the schedule's times overflow float64")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "trace,argv",
+        [
+            ("0,1e308,1000000\n1,1.7e308,5\n", ["--vm-speeds", "0.001"]),  # the sum of finish times overflows
+            (None, ["--num-jobs", "1", "--len-min", "1000000", "--len-max", "1000000", "--vm-speeds", "1e-310"]),
+        ],
+        ids=["overflow-in-reduce", "overflow-in-divide"],
+    )
+    def test_non_finite_schedule_prints_one_error_line_and_no_warning(self, tmp_path, capsys, trace, argv):
+        if trace is not None:
+            jobs_file = tmp_path / "jobs.csv"
+            jobs_file.write_text("job_id,arrival_time,length_mi\n" + trace)
+            argv = argv + ["--jobs-file", str(jobs_file)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--algorithm", "fcfs", "--num-vms", "1", *argv])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the schedule's times overflow float64") and err.count("\n") == 1
+
+    def test_repeated_vm_count_exits_2_before_the_output_check(self, tmp_path, capsys):
+        rc = main(["sweep", "--vm-counts", "2,2", "--out", str(tmp_path / "missing" / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: vm_counts must not repeat\n"
 
     def test_bad_arrival_rate_exits_2_before_the_output_check(self, tmp_path, capsys):
         rc = main(["sweep", "--arrival-rate", "-1", "--out", str(tmp_path / "missing" / "r.csv")])

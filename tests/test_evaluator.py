@@ -22,7 +22,7 @@ from lcasched import (
     make_objective,
 )
 from lcasched import decode_random_key
-from lcasched.problem import BatchDraft, BatchScorer, _ReplayScorer, _job_columns, _segmented_cummax
+from lcasched.problem import BatchDraft, BatchScorer, _job_columns, _segmented_cummax
 
 from conftest import exact_metrics, naive_metrics, naive_timeline, random_instance
 
@@ -348,8 +348,8 @@ class TestBatchScorer:
     def test_applies_only_to_batch_instances_that_fit(self):
         vms = [Vm(0, 1.0)]
         assert type(make_objective([Job(0, 0.0, 10), Job(1, 0.0, 20)], vms)) is BatchScorer
-        assert type(make_objective([Job(0, 0.0, 10), Job(1, 0.5, 20)], vms)) is _ReplayScorer
-        assert type(make_objective([Job(0, 0.0, 2**62), Job(1, 0.0, 1)], vms)) is _ReplayScorer
+        assert type(make_objective([Job(0, 0.0, 10), Job(1, 0.5, 20)], vms)) is ScheduleSimulator
+        assert type(make_objective([Job(0, 0.0, 2**62), Job(1, 0.0, 1)], vms)) is ScheduleSimulator
         with pytest.raises(ValueError, match="^jobs and vms must be non-empty$"):
             make_objective([], vms)
         with pytest.raises(ValueError):
@@ -360,7 +360,7 @@ class TestBatchScorer:
     def test_applies_at_the_int64_edge(self):
         # n times the total length must stay strictly below 2**63, also once the table keeps the check
         fits, too_big = [Job(0, 0.0, 2**63 - 1)], [Job(0, 0.0, 2**61), Job(1, 0.0, 2**61)]
-        for jobs, expected, scorer in ((fits, True, BatchScorer), (too_big, False, _ReplayScorer)):
+        for jobs, expected, scorer in ((fits, True, BatchScorer), (too_big, False, ScheduleSimulator)):
             assert type(make_objective(jobs, [Vm(0, 1.0)])) is scorer
             table = _job_columns(jobs)
             assert table.fits_batch is expected
@@ -473,9 +473,9 @@ def staggered_draft_cases(draw):
 
 
 # Both objectives share one bad-input contract: BatchScorer on a batch
-# instance, _ReplayScorer on a staggered one (arrivals step * k).
+# instance, ScheduleSimulator on a staggered one (arrivals step * k).
 SCORER_CLASSES = pytest.mark.parametrize(
-    "scorer_class, step", [(BatchScorer, 0.0), (_ReplayScorer, 1.0)], ids=["batch", "staggered"]
+    "scorer_class, step", [(BatchScorer, 0.0), (ScheduleSimulator, 1.0)], ids=["batch", "staggered"]
 )
 
 
@@ -484,7 +484,7 @@ class TestReplayScorer:
     @given(staggered_draft_cases())
     def test_drafts_equal_calls_from_scratch(self, case):
         jobs, vms, weights, x, drafts = case
-        scorer = _ReplayScorer(jobs, vms, weights)
+        scorer = ScheduleSimulator(jobs, vms, weights)
         simulator = ScheduleSimulator(jobs, vms)
 
         def replayed(x):  # the objective's definition: decode, replay, weigh every metric
@@ -578,7 +578,7 @@ class TestDraftsThatMoveNoJob:
 
     def test_staggered_draft_is_not_replayed(self):
         jobs = [Job(i, 1.5 * i, 10 + 7 * i) for i in range(8)]
-        scorer = _ReplayScorer(jobs, [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)], MetricWeights(1.0, 1.0, 1.0))
+        scorer = ScheduleSimulator(jobs, [Vm(0, 1.0), Vm(1, 2.5), Vm(2, 0.5)], MetricWeights(1.0, 1.0, 1.0))
         x = np.array([0.5, 1.5, 2.5, 0.0, 1.0, 2.0, 0.9, 3.0])
         anchor = scorer.delta_scorer(x)
         replay = anchor._objective
