@@ -4,10 +4,11 @@ Both walk the jobs in a fixed dispatch order and hand each to the VM whose
 queue frees up earliest, accounting for the job's arrival. FCFS dispatches
 in arrival order; LJF longest job first by default, or latest arrival first
 in ``last-arrival`` mode (the paper's "Last Job First"). The VMs sit in a
-binary heap of ``(ready_time, vm_id)`` tuples, so a dispatch costs O(log m)
-instead of a scan of all m queues, and tuple order sends ties to the lowest
-VM id. The returned assignment is aligned with the input job list; service
-order within a VM is decided by the replay, not by dispatch order.
+binary heap of ``(ready_time, vm)`` tuples, ``vm`` being the VM's index in
+``vms`` (``Vm.id`` is not read), so a dispatch costs O(log m) instead of a
+scan of all m queues, and tuple order sends ties to the lowest index. The
+returned assignment is aligned with the input job list; service order
+within a VM is decided by the replay, not by dispatch order.
 
 The heap is seeded: every VM is free at 0.0, and a job keeps its VM busy
 past 0.0 (a length is at least 1 and a speed is finite), so job k < m of

@@ -101,7 +101,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_integer("num_jobs", self.num_jobs, 1 if self.jobs_file is None else None)
+        _check_integer("num_jobs", self.num_jobs, 1)
         _check_integer("reps", self.reps, 1)
         _check_integer("base_seed", self.base_seed, 0)
         _check_integer("workers", self.workers, 1)
@@ -194,6 +194,7 @@ def _fleet(spec: FleetSpec) -> tuple[Vm, ...]:
 
 
 def _cell_inputs(config: ExperimentConfig, num_vms: int, seed: int):
+    _check_integer("seed", seed, 0)
     workload_seed, fleet_seed, optimizer_seed = _sub_seeds(seed)
     jobs = _jobs(
         config.jobs_file
@@ -230,7 +231,6 @@ def run_cell(config: ExperimentConfig, algorithm: str, num_vms: int, seed: int) 
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
-    _check_integer("seed", seed, 0)
     started = time.perf_counter()
     jobs, vms, optimizer_seed = _cell_inputs(config, num_vms, seed)
     simulator = ScheduleSimulator(jobs, vms)

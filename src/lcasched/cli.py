@@ -2,8 +2,9 @@
 
 Subcommands: ``generate`` writes a jobs CSV trace, ``run`` scores a
 single (algorithm, VM count, seed) cell, ``sweep`` runs the full benchmark
-grid, and ``oracle`` brute-forces a tiny instance. Exit codes: 0 on
-success, 2 for an invalid configuration, 3 for an I/O failure.
+grid, and ``oracle`` brute-forces a tiny instance: the one that ``run``
+scores with the same flags and seed. Exit codes: 0 on success, 2 for an
+invalid configuration, 3 for an I/O failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .bench import (
     ALGORITHMS,
     DEFAULT_VM_COUNTS,
     ExperimentConfig,
+    _cell_inputs,
     run_cell,
     run_sweep,
     summary_path_for,
@@ -25,17 +27,7 @@ from .bench import (
 from .baselines import LJF_MODES
 from .lca import LcaParams, _check_integer
 from .problem import MetricWeights, brute_force_optimal
-from .workload import (
-    DEFAULT_LEN_MAX,
-    DEFAULT_LEN_MIN,
-    DEFAULT_SPEED_CHOICES,
-    FleetSpec,
-    WorkloadSpec,
-    generate_fleet,
-    generate_workload,
-    read_jobs_csv,
-    write_jobs_csv,
-)
+from .workload import DEFAULT_LEN_MAX, DEFAULT_LEN_MIN, DEFAULT_SPEED_CHOICES, WorkloadSpec, generate_workload, write_jobs_csv
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -125,33 +117,23 @@ def _lca_params(args) -> LcaParams:
 
 
 def _experiment_config(args, **overrides) -> ExperimentConfig:
-    base = dict(
+    return ExperimentConfig(
         jobs_file=args.jobs_file,
         num_jobs=args.num_jobs,
         len_min=args.len_min,
         len_max=args.len_max,
         arrival_rate=args.arrival_rate,
         vm_speeds=args.vm_speeds,
-        lca=_lca_params(args),
         weights=args.weights,
-        ljf_mode=args.ljf_mode,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def _workload_spec(args) -> WorkloadSpec:
-    return WorkloadSpec(
-        job_count=args.num_jobs,
-        len_min=args.len_min,
-        len_max=args.len_max,
-        arrival_rate=args.arrival_rate,
-        seed=args.seed,
+        **overrides,
     )
 
 
 def _cmd_generate(args) -> int:
-    jobs = generate_workload(_workload_spec(args))
+    spec = WorkloadSpec(
+        job_count=args.num_jobs, len_min=args.len_min, len_max=args.len_max, arrival_rate=args.arrival_rate, seed=args.seed
+    )
+    jobs = generate_workload(spec)
     write_jobs_csv(jobs, args.jobs_out)
     print(f"wrote {len(jobs)} jobs to {args.jobs_out}")
     return 0
@@ -164,7 +146,9 @@ def _check_num_vms(args) -> None:
 
 def _cmd_run(args) -> int:
     _check_num_vms(args)
-    config = _experiment_config(args, vm_counts=(args.num_vms,), no_timing=args.no_timing)
+    config = _experiment_config(
+        args, vm_counts=(args.num_vms,), lca=_lca_params(args), ljf_mode=args.ljf_mode, no_timing=args.no_timing
+    )
     row = run_cell(config, args.algorithm, args.num_vms, args.seed)
     if args.out:
         write_results_csv([row], args.out)
@@ -179,6 +163,8 @@ def _cmd_sweep(args) -> int:
         args,
         vm_counts=args.vm_counts,
         algorithms=args.algorithms,
+        lca=_lca_params(args),
+        ljf_mode=args.ljf_mode,
         reps=args.reps,
         base_seed=args.seed,
         out=args.out,
@@ -193,11 +179,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     _check_num_vms(args)
-    if args.jobs_file is not None:
-        jobs = read_jobs_csv(args.jobs_file)
-    else:
-        jobs = generate_workload(_workload_spec(args))
-    vms = generate_fleet(FleetSpec(vm_count=args.num_vms, speed_choices=args.vm_speeds, seed=args.seed))
+    jobs, vms, _ = _cell_inputs(_experiment_config(args, vm_counts=(args.num_vms,)), args.num_vms, args.seed)
     assignment, metrics = brute_force_optimal(jobs, vms, args.weights)
     print("assignment:", ",".join(str(v) for v in assignment))
     print("makespan:", repr(metrics.makespan))
@@ -251,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet_options(oracle)
     oracle.set_defaults(num_jobs=6)
     oracle.add_argument("--num-vms", type=int, required=True)
-    oracle.add_argument("--seed", type=int, default=0)
+    oracle.add_argument("--seed", type=int, default=1)
     _add_weights_option(oracle)
     oracle.set_defaults(func=_cmd_oracle)
     for command in (run, sweep, oracle):  # generate writes a trace and reads none

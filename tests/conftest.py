@@ -57,7 +57,7 @@ def exact_metrics(jobs, vms, assignment):
 
 def reference_greedy(jobs, vms, dispatch_order):
     """Naive dispatcher: each job in turn goes to the VM that is ready
-    earliest (ties to the lowest id), which then runs it from
+    earliest (ties to the lowest index), which then runs it from
     max(ready, arrival) for length / speed seconds."""
     ready = [0.0] * len(vms)
     assignment = [None] * len(jobs)

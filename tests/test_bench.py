@@ -346,6 +346,7 @@ class TestConfigValidation:
             dict(vm_speeds=(np.inf,)),
             dict(vm_speeds=(1000.0, np.nan)),
             dict(vm_counts=(2, 2)),
+            dict(jobs_file="t.csv", num_jobs=-5),
         ],
     )
     def test_invalid(self, kwargs):
@@ -532,6 +533,50 @@ class TestCli:
         row = out[-1].split(",")
         assert row[0] == "fcfs" and row[1] == "3"
 
+        # the oracle reads the same trace; no baseline row on its instance beats it
+        flags = ["--jobs-file", str(jobs_out), "--num-vms", "2"]
+        oracle = self._oracle(capsys, flags)
+        expected, metrics = brute_force_optimal(read_jobs_csv(jobs_out), generate_fleet(FleetSpec(vm_count=2)))
+        assert oracle == (expected.tolist(), MetricWeights().score(metrics))
+        for algorithm in ("fcfs", "ljf"):
+            assert oracle[1] <= self._run_objective(capsys, algorithm, flags)
+
+    @staticmethod
+    def _oracle(capsys, flags):
+        """The assignment and objective value that ``oracle`` prints."""
+        assert main(["oracle", *flags]) == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        return [int(v) for v in printed["assignment"].split(",")], float(printed["objective_value"])
+
+    @staticmethod
+    def _run_objective(capsys, algorithm, flags):
+        """The objective value of the row that ``run`` prints."""
+        assert main(["run", "--algorithm", algorithm, *flags, "--no-timing"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        return float(dict(zip(header.split(","), row.split(",")))["objective_value"])
+
+    @pytest.mark.parametrize(
+        "seed,trace", [(1, False), (4, False), (7, False), (10, False), (1, True)],
+        ids=["seed1", "seed4", "seed7", "seed10", "jobs-file"],
+    )
+    def test_oracle_solves_the_run_cell(self, tmp_path, capsys, seed, trace):
+        # oracle and run derive one instance from the same flags and seed, so no baseline beats the optimum
+        flags = ["--num-vms", "2", "--seed", str(seed)]
+        if trace:
+            jobs_file = str(tmp_path / "jobs.csv")
+            write_jobs_csv(generate_workload(WorkloadSpec(job_count=6, arrival_rate=2.0, seed=3)), jobs_file)
+            flags += ["--jobs-file", jobs_file]
+            config = ExperimentConfig(jobs_file=jobs_file)
+        else:
+            flags += ["--num-jobs", "6"]
+            config = ExperimentConfig(num_jobs=6)
+        jobs, vms, _ = lcasched.bench._cell_inputs(config, 2, seed)
+        expected, metrics = brute_force_optimal(jobs, vms)
+        oracle = self._oracle(capsys, flags)
+        assert oracle == (expected.tolist(), MetricWeights().score(metrics))
+        for algorithm in ("fcfs", "ljf"):
+            assert oracle[1] <= self._run_objective(capsys, algorithm, flags)
+
     def test_oracle_subcommand(self, capsys):
         rc = main(["oracle", "--num-jobs", "4", "--num-vms", "2", "--seed", "1"])
         assert rc == 0
@@ -567,6 +612,13 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["generate", "--num-jobs", "5"])  # --jobs-out is required
         assert excinfo.value.code == 2
+
+    def test_num_jobs_below_one_exits_2_also_with_a_jobs_file(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = main(["sweep", "--jobs-file", str(tmp_path / "x.csv"), "--num-jobs", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: num_jobs must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_generate_rejects_jobs_file(self, tmp_path, capsys):
         # generate writes a trace; it has no use for one to read
@@ -745,11 +797,11 @@ class TestCli:
             main(["generate", "--num-jobs", "5", "--vm-speeds", "nan", "--jobs-out", str(tmp_path / "jobs.csv")])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --vm-speeds nan" in capsys.readouterr().err
-        # oracle builds its fleet from the flag and rejects the speed, naming the field
+        # oracle builds its config from the flag and rejects the speed, naming the config's field
         rc = main(["oracle", "--num-jobs", "5", "--num-vms", "2", "--vm-speeds", "nan"])
         assert rc == 2
         captured = capsys.readouterr()
-        assert "error: speed_choices must be non-empty, finite and positive" in captured.err
+        assert "error: vm_speeds must be non-empty, finite and positive" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
