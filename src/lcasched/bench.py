@@ -30,6 +30,7 @@ counts once ``no_timing`` zeroes the wall-clock column.
 
 from __future__ import annotations
 
+import errno
 import functools
 import statistics
 import tempfile
@@ -268,12 +269,13 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRo
     output is sorted and therefore independent of execution order. Cells
     run seed-major, so consecutive cells share one generated workload, and
     a ``jobs_file`` is read afresh once, before any cell, so a bad trace
-    fails early and every cell, forked workers included, shares it. The
-    output directory is checked for writability before any cell runs
-    (``OSError`` otherwise), and each CSV is replaced atomically, so a
-    failed sweep never leaves a truncated one. Returns the sorted rows and
-    the per-(algorithm, vm count) summary.
+    fails early and every cell, forked workers included, shares it. Before
+    any cell runs, the output directory is checked for writability and
+    neither CSV path may be a directory (``OSError`` otherwise), and each
+    CSV is replaced atomically, so a failed sweep never leaves a truncated
+    one. Returns the sorted rows and the per-(algorithm, vm count) summary.
     """
+    _refuse_directories(config.out, summary_path_for(config.out))
     _check_writable(Path(config.out).parent)
     if config.jobs_file is not None:
         _jobs.cache_clear()
@@ -326,6 +328,14 @@ def write_results_csv(rows: Sequence[ResultRow], sink) -> None:
 
 def write_summary_csv(summary: Sequence[SummaryRow], sink) -> None:
     _write_csv(SUMMARY_CSV_HEADER, [_csv_fields(row) for row in summary], sink)
+
+
+def _refuse_directories(*paths) -> None:
+    """Raise ``IsADirectoryError`` naming the first of ``paths`` that is a directory: a CSV
+    replaces a file or is written through a device (``/dev/stdout``), never a directory."""
+    for path in paths:
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
 
 
 def _check_writable(directory: Path) -> None:

@@ -19,6 +19,7 @@ from .bench import (
     DEFAULT_VM_COUNTS,
     ExperimentConfig,
     _cell_inputs,
+    _refuse_directories,
     run_cell,
     run_sweep,
     summary_path_for,
@@ -149,6 +150,8 @@ def _cmd_run(args) -> int:
     config = _experiment_config(
         args, vm_counts=(args.num_vms,), lca=_lca_params(args), ljf_mode=args.ljf_mode, no_timing=args.no_timing
     )
+    if args.out:
+        _refuse_directories(args.out)
     row = run_cell(config, args.algorithm, args.num_vms, args.seed)
     if args.out:
         write_results_csv([row], args.out)

@@ -262,23 +262,23 @@ def _drafter(params: LcaParams, lower, upper):
 
     def draft(rng, won: bool, rival_opponent_won: bool, best, row, own, opponent, over_o, rival_opponent, over_r):
         count = count_of(rng.random())
-        last = range(dimension - count, dimension)
-        # Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987): for j in ``last``,
+        first = dimension - count
+        # Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987): for j = first + k,
         # take t = floor(u * (j + 1)), or j if t is already taken (u < 1 keeps
-        # t <= j in floats too).
-        gains = rng.random(3 * count)
-        picks = [int(u * (j + 1)) for j, u in zip(last, gains)]
-        gains = gains[count:]
-        rival_coeff = approach if rival_opponent_won else retreat
-        opponent_coeff = retreat if won else approach
+        # t <= j in floats too). The block is read by index, so a draft allocates no list.
+        block = rng.random(3 * count)
         keys: dict[int, float] = {}  # slot -> key, in draw order
-        for j, t, g_rival, g_opponent in zip(last, picks, gains, gains[count:]):
+        for k in range(count):
+            j = first + k
+            t = int(block[k] * (j + 1))
             s = j if t in keys else t
-            c, o, r = own.get(s, row[s]), over_o.get(s, opponent[s]), over_r.get(s, rival_opponent[s])
-            # keep this order of products and sums: keys equal the vector formula bit for bit
+            c = own[s] if s in own else row[s]
+            o = over_o[s] if s in over_o else opponent[s]
+            r = over_r[s] if s in over_r else rival_opponent[s]
+            # keep these branches and this order of operations: keys equal the vector formula bit for bit, zero signs too
             x = best[s] + (
-                g_rival * (rival_coeff * (r - c if rival_opponent_won else c - r))
-                + g_opponent * (opponent_coeff * (c - o if won else o - c))
+                block[count + k] * (approach * (r - c) if rival_opponent_won else retreat * (c - r))
+                + block[2 * count + k] * (retreat * (c - o) if won else approach * (o - c))
             )
             lo, hi = lower[s], upper[s]
             keys[s] = lo if x < lo else hi if x > hi else x

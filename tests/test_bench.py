@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import lcasched.bench
+import lcasched.cli
 import lcasched.workload
 from lcasched import (
     BoxDomain,
@@ -843,6 +845,31 @@ class TestSweepOutputSafety:
         with pytest.raises(OSError):
             run_sweep(tiny_config(out=str(tmp_path / "missing" / "results.csv")))
         assert cells == []
+
+    @pytest.mark.parametrize("directory", ["results.csv", "results_summary.csv"])
+    def test_directory_output_fails_before_any_cell(self, tmp_path, monkeypatch, directory):
+        (tmp_path / directory).mkdir()
+        cells = []
+        monkeypatch.setattr(lcasched.bench, "run_cell", lambda *args: cells.append(args))
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path / directory))):
+            run_sweep(tiny_config(out=str(tmp_path / "results.csv")))
+        assert cells == [] and [p.name for p in tmp_path.iterdir()] == [directory]  # no results CSV beside it
+
+    @pytest.mark.parametrize("directory", ["r.csv", "r_summary.csv"])
+    def test_cli_sweep_directory_output_exits_3_writing_nothing(self, tmp_path, capsys, directory):
+        (tmp_path / directory).mkdir()
+        rc = main(["sweep", "--num-jobs", "8", "--vm-counts", "2", "--algorithms", "fcfs", "--reps", "1",
+                   "--no-timing", "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] Is a directory: '{tmp_path / directory}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+    def test_cli_run_directory_output_exits_3_before_the_cell(self, tmp_path, monkeypatch, capsys):
+        cells = []
+        monkeypatch.setattr(lcasched.cli, "run_cell", lambda *args: cells.append(args))
+        rc = main(["run", "--algorithm", "fcfs", "--num-vms", "2", "--num-jobs", "8", "--out", str(tmp_path)])
+        assert rc == 3 and cells == []
+        assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] Is a directory: '{tmp_path}'\n"
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_truncated_csv(self, tmp_path, monkeypatch, existing):

@@ -380,22 +380,34 @@ class TestSwotUpdate:
 
     @pytest.mark.parametrize("won", [False, True])
     @pytest.mark.parametrize("rival_opponent_won", [False, True])
-    @pytest.mark.parametrize("dimension", [9, 600])  # Floyd's sampling meets taken slots more often at 9
-    def test_drafter_equals_swot_formation_and_clip(self, dimension, won, rival_opponent_won):
+    @pytest.mark.parametrize("retreat, approach", [(1.5, 0.7), (0.0, 0.7), (1.5, 0.0)])
+    # Floyd's sampling meets taken slots more often at 9
+    @pytest.mark.parametrize("dimension, zeros", [(9, False), (600, False), (9, True)])
+    def test_drafter_equals_swot_formation_and_clip(self, dimension, zeros, retreat, approach, won, rival_opponent_won):
         # optimize's draft rebuilds each slot inline; its keys must equal the
         # reference formula clamped by np.clip, bit for bit, with every side read
         # as its row under its overrides
         setup = np.random.default_rng(dimension)
-        lower, upper = -setup.uniform(0.5, 2.0, dimension), setup.uniform(1.0, 3.0, dimension)
-        rows = setup.uniform(-4.0, 5.0, size=(3, dimension))  # outside the box too, so keys clamp
+        if not zeros:
+            lower, upper = -setup.uniform(0.5, 2.0, dimension), setup.uniform(1.0, 3.0, dimension)
+            draw = lambda slots: setup.uniform(-4.0, 5.0, len(slots))  # outside the box too, so keys clamp
+        else:
+            # every side holds the slot's value from {-0.0, 0.0, 0.5}, a zero with its sign
+            # drawn per side, so every pull is a zero; the box leaves zeros as they are, so
+            # keys show their signs
+            lower, upper = np.full(dimension, -1.0), np.full(dimension, 1.0)
+            held = setup.choice((-0.0, 0.0, 0.5), dimension)
+            draw = lambda slots: np.where(held[slots] == 0.0, setup.choice((-0.0, 0.0), len(slots)), held[slots])
+        rows = np.array([draw(range(dimension)) for _ in range(3)])
         half = dimension // 2
-        overrides = [
-            dict(zip(setup.permutation(dimension)[:half].tolist(), setup.uniform(-4.0, 5.0, half).tolist())) for _ in rows
-        ]
+        overrides = []
+        for _ in rows:
+            slots = setup.permutation(dimension)[:half]
+            overrides.append(dict(zip(slots.tolist(), draw(slots).tolist())))
         dense = rows.copy()
         for formation, override in zip(dense, overrides):
             formation[list(override)] = list(override.values())
-        params = LcaParams(league_size=4, seasons=1, change_prob=0.05, retreat_coeff=1.5, approach_coeff=0.7, seed=0)
+        params = LcaParams(league_size=4, seasons=1, change_prob=0.05, retreat_coeff=retreat, approach_coeff=approach)
         draft = _drafter(params, lower.tolist(), upper.tolist())
         rng, mirror = np.random.default_rng(7), np.random.default_rng(7)
         source = _Doubles(rng)  # as optimize reads them
@@ -408,7 +420,7 @@ class TestSwotUpdate:
             assert slots == floyd_sample(mirror, dimension, count)
             gains = mirror.random((2, count))
             expected = np.clip(
-                swot_formation(rows[0][slots], *dense[:, slots], won, rival_opponent_won, 1.5, 0.7, *gains),
+                swot_formation(rows[0][slots], *dense[:, slots], won, rival_opponent_won, retreat, approach, *gains),
                 lower[slots],
                 upper[slots],
             )
